@@ -31,6 +31,7 @@ from .matrix import (
     MatrixError,
     MatrixSyntaxError,
     NegativeSpreadError,
+    NonFiniteNumberError,
     PayoffMatrix,
     RaggedRowsError,
     SelectionError,
@@ -48,6 +49,7 @@ from .oracle import (
     oracle_value,
 )
 from .solver import (
+    MAX_BETA_STEPS,
     NotReducibleError,
     PipelineConfig,
     ReductionResult,

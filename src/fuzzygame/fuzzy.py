@@ -14,8 +14,15 @@ All types are immutable values and every operation is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+
+# Largest magnitude a center or spread may take.  Every value must survive
+# float() for evidence and output; NaN compares false against it, so one
+# comparison per value rejects NaN, the infinities and oversized integers.
+MAX_MAGNITUDE = int(sys.float_info.max)
 
 
 class DegenerateComparisonError(ValueError):
@@ -109,6 +116,11 @@ class FuzzyNum:
     def __post_init__(self) -> None:
         if self.spread < 0:
             raise ValueError(f"spread must be nonnegative, got {self.spread}")
+        if not (abs(self.center) <= MAX_MAGNITUDE and abs(self.spread) <= MAX_MAGNITUDE):
+            raise ValueError(
+                f"center and spread must be finite with magnitude at most "
+                f"{float(MAX_MAGNITUDE):g}, got {self}"
+            )
 
     def as_lr_triple(self) -> LRTriple:
         return LRTriple(self.spread, self.center, self.spread)

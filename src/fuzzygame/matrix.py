@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fuzzy import FuzzyNum
@@ -38,6 +40,10 @@ class RaggedRowsError(MatrixError):
 
 class NegativeSpreadError(MatrixError):
     """An entry carries a negative spread."""
+
+
+class NonFiniteNumberError(MatrixError):
+    """An entry holds NaN, an infinity, or a number too large for a float."""
 
 
 class DuplicateLabelsError(MatrixError):
@@ -139,6 +145,11 @@ class PayoffMatrix:
     def centers(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(e.center for e in row) for row in self.entries)
 
+    @cached_property
+    def exact_centers(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The centers as exact rationals, converted on first use and kept."""
+        return tuple(tuple(Fraction(e.center) for e in row) for row in self.entries)
+
 
 def parse_matrix(text: str) -> PayoffMatrix:
     """Parse a matrix document, reporting the position of whatever is wrong."""
@@ -181,7 +192,10 @@ def parse_matrix(text: str) -> PayoffMatrix:
             center, spread = cell
             if spread < 0:
                 raise NegativeSpreadError(f"{where}: spread {spread} is negative")
-            cells.append(FuzzyNum(center, spread))
+            try:
+                cells.append(FuzzyNum(center, spread))
+            except ValueError as exc:
+                raise NonFiniteNumberError(f"{where}: {exc}") from None
         grid.append(tuple(cells))
 
     row_labels = _parse_labels(doc.get("rows"), len(grid), "rows") or default_row_labels(len(grid))

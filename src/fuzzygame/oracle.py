@@ -173,12 +173,13 @@ class OracleReport:
         return self.value_match and self.x_guarantee and self.y_guarantee
 
 
-def oracle_check(pm: PayoffMatrix, solution: Solution, tol: float = 1e-9) -> OracleReport:
+def oracle_check(pm: PayoffMatrix, solution: Solution, tol: float = 0) -> OracleReport:
     """Validate a solution's value center and both guarantee inequalities.
 
     The solution's x must earn at least the oracle value against every
     column of the original matrix, and its y must concede at most the oracle
-    value against every row, within ``tol``.
+    value against every row.  Everything is exact, so the default ``tol``
+    of 0 demands exact agreement; a positive ``tol`` loosens all three tests.
     """
     oracle = oracle_value(CenterGame.from_payoff(pm))
     centers = [[Fraction(c) for c in row] for row in pm.centers()]

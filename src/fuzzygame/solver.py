@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .fuzzy import Attitude, Choice, FuzzyNum, di_fuzzy, prefer_min
 from .matrix import Axis, PayoffMatrix, StrategyIndex, submatrix
@@ -90,7 +91,7 @@ class Solution:
         for name, vec in (("x", self.x), ("y", self.y)):
             if any(p < 0 or p > 1 for p in vec):
                 raise ValueError(f"{name} is not a probability vector: {vec}")
-            if abs(float(sum(vec)) - 1.0) > 1e-12:
+            if sum(vec) != 1:
                 raise ValueError(f"{name} does not sum to 1: {vec}")
         for step in self.trace:
             if step.deleted is None:
@@ -102,10 +103,22 @@ class Solution:
                 )
 
 
+# Largest grid beta_grid builds: a finer grid cannot change which blends
+# exist, only slow the rare scan over it, and an unbounded one is a memory
+# hazard.
+MAX_BETA_STEPS = 10_001
+
+
 def beta_grid(steps: int = 21) -> tuple[float, ...]:
-    """Evenly spaced coefficients on [0, 1]; 0.5 is tried first when present."""
+    """Evenly spaced coefficients on [0, 1]; 0.5 is tried first when present.
+
+    ``steps`` must lie in [2, MAX_BETA_STEPS]; it is checked before anything
+    is allocated.
+    """
     if steps < 2:
         raise ValueError(f"beta grid needs at least 2 points, got {steps}")
+    if steps > MAX_BETA_STEPS:
+        raise ValueError(f"beta grid allows at most {MAX_BETA_STEPS} points, got {steps}")
     values = [i / (steps - 1) for i in range(steps)]
     if 0.5 in values:
         values.remove(0.5)
@@ -239,6 +252,59 @@ def _blend(a: FuzzyNum, b: FuzzyNum, beta: Fraction) -> FuzzyNum:
     )
 
 
+def _blends(
+    first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: Fraction
+) -> tuple[FuzzyNum, ...]:
+    return tuple(_blend(a, b, beta) for a, b in zip(first, second))
+
+
+def _first_feasible(
+    constraints: Iterable[tuple[Fraction, Fraction]],
+    betas: tuple[float, ...],
+    first: tuple[FuzzyNum, ...],
+    second: tuple[FuzzyNum, ...],
+) -> float | None:
+    """First grid point ``beta`` with ``beta * d >= r`` for every ``(d, r)``, else None.
+
+    Each constraint bounds ``beta`` from one side (or, when ``d == 0``, holds
+    for every ``beta`` or for none), so together they cut out one interval
+    ``lo <= beta <= hi`` whose ends may be open-ended.  It is found in one
+    exact pass that stops as soon as it is empty; then the grid is scanned,
+    in the caller's order, for the first point inside it.
+
+    A grid point outside [0, 1] can blend ``first`` and ``second`` into a
+    negative spread, which :class:`FuzzyNum` refuses; such points are
+    blended as they are passed, so a bad grid raises the same
+    ``ValueError`` whether or not a coefficient before it is accepted.
+    """
+    lo = hi = None
+    feasible = True
+    for d, r in constraints:
+        if d > 0:
+            bound = r / d
+            if lo is None or bound > lo:
+                lo = bound
+        elif d < 0:
+            bound = r / d
+            if hi is None or bound < hi:
+                hi = bound
+        elif r > 0:
+            feasible = False
+            break
+        if lo is not None and hi is not None and lo > hi:
+            feasible = False
+            break
+    if not feasible and all(0 <= beta <= 1 for beta in betas):
+        return None
+    for beta in betas:
+        bf = Fraction(beta)
+        if not 0 <= bf <= 1:
+            _blends(first, second, bf)
+        if feasible and (lo is None or lo <= bf) and (hi is None or bf <= hi):
+            return beta
+    return None
+
+
 def convex_row_dominates(
     pm: PayoffMatrix, p: int, q: int, s: int, betas: tuple[float, ...] = DEFAULT_BETAS
 ) -> tuple[float, tuple[float, ...]] | None:
@@ -247,42 +313,54 @@ def convex_row_dominates(
     The virtual row is beta*row(p) + (1-beta)*row(q), blended entrywise on
     centers and spreads.  Dominance is in the sense of maximization: the
     virtual row must be entrywise at least row s on centers (equality
-    everywhere counts, since the blend makes row s redundant).
+    everywhere counts, since the blend makes row s redundant).  Per column
+    that is ``beta * (c_pj - c_qj) >= c_sj - c_qj``, so the coefficients that
+    work form one exact interval; the first grid point inside it is the
+    answer, and only its blend is built, for the evidence.
     """
     if len({p, q, s}) != 3:
         raise ValueError(f"rows p={p}, q={q}, s={s} must be distinct")
     _check_index(pm, Axis.ROW, p, q, s)
     if not betas:
         raise ValueError("beta grid must not be empty")
-    for beta in betas:
-        bf = Fraction(beta)
-        virtual = tuple(_blend(pm.entry(p, j), pm.entry(q, j), bf) for j in range(pm.cols))
-        if all(virtual[j].center >= pm.entry(s, j).center for j in range(pm.cols)):
-            evidence = tuple(
-                _entry_di(pm.entry(s, j), virtual[j]) for j in range(pm.cols)
-            )
-            return beta, evidence
-    return None
+    centers = pm.exact_centers
+    first, second = pm.row(p), pm.row(q)
+    beta = _first_feasible(
+        ((cp - cq, cs - cq) for cp, cq, cs in zip(centers[p], centers[q], centers[s])),
+        betas,
+        first,
+        second,
+    )
+    if beta is None:
+        return None
+    virtual = _blends(first, second, Fraction(beta))
+    return beta, tuple(_entry_di(a, v) for a, v in zip(pm.row(s), virtual))
 
 
 def convex_col_dominates(
     pm: PayoffMatrix, p: int, q: int, s: int, alphas: tuple[float, ...] = DEFAULT_BETAS
 ) -> tuple[float, tuple[float, ...]] | None:
-    """Mirror of :func:`convex_row_dominates` in the sense of minimization."""
+    """Mirror of :func:`convex_row_dominates` in the sense of minimization.
+
+    Per row the blend must stay at most column s, that is
+    ``alpha * (c_iq - c_ip) >= c_iq - c_is``.
+    """
     if len({p, q, s}) != 3:
         raise ValueError(f"columns p={p}, q={q}, s={s} must be distinct")
     _check_index(pm, Axis.COL, p, q, s)
     if not alphas:
         raise ValueError("alpha grid must not be empty")
-    for alpha in alphas:
-        af = Fraction(alpha)
-        virtual = tuple(_blend(pm.entry(i, p), pm.entry(i, q), af) for i in range(pm.rows))
-        if all(virtual[i].center <= pm.entry(i, s).center for i in range(pm.rows)):
-            evidence = tuple(
-                _entry_di(virtual[i], pm.entry(i, s)) for i in range(pm.rows)
-            )
-            return alpha, evidence
-    return None
+    first, second = pm.col(p), pm.col(q)
+    alpha = _first_feasible(
+        ((row[q] - row[p], row[q] - row[s]) for row in pm.exact_centers),
+        alphas,
+        first,
+        second,
+    )
+    if alpha is None:
+        return None
+    virtual = _blends(first, second, Fraction(alpha))
+    return alpha, tuple(_entry_di(v, a) for v, a in zip(virtual, pm.col(s)))
 
 
 def _pure(size: int, at: int) -> tuple[Fraction, ...]:
@@ -599,7 +677,7 @@ def _repaired_subgame_solution(
     guarantee; such a donor always exists.
     """
     value = Fraction(chosen.solution.value.center)
-    centers = [[Fraction(c) for c in row] for row in work.centers()]
+    centers = work.exact_centers  # already built by the convex tests on this residual
 
     if enum.axis is Axis.COL:
         if _x_guarantee(centers, chosen.solution.x, value):
@@ -629,7 +707,7 @@ def _repaired_subgame_solution(
 
 
 def _x_guarantee(
-    centers: list[list[Fraction]], x: tuple[Fraction, ...], value: Fraction
+    centers: Sequence[Sequence[Fraction]], x: tuple[Fraction, ...], value: Fraction
 ) -> bool:
     # x lives on the residual's two rows; every residual column must pay at least value.
     cols = len(centers[0])
@@ -639,7 +717,7 @@ def _x_guarantee(
 
 
 def _y_guarantee(
-    centers: list[list[Fraction]], y: tuple[Fraction, ...], value: Fraction
+    centers: Sequence[Sequence[Fraction]], y: tuple[Fraction, ...], value: Fraction
 ) -> bool:
     cols = len(centers[0])
     return all(
@@ -653,7 +731,7 @@ def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
         for i in range(pm.rows)
         for j in range(pm.cols)
     )
-    if abs(float(expected - Fraction(solution.value.center))) > 1e-9:
+    if expected != Fraction(solution.value.center):
         raise RuntimeError(
             "internal consistency: expected payoff does not match the value center"
         )

@@ -1,11 +1,15 @@
 """Command-line front end: exit codes, table and machine output, streams."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from fuzzygame import parse_matrix, serialize_matrix, solve_pipeline
+import fuzzygame
+from fuzzygame import MAX_BETA_STEPS, parse_matrix, serialize_matrix, solve_pipeline
 from fuzzygame.cli import main
 
 
@@ -195,3 +199,38 @@ class TestCheck:
         assert code == 0
         assert "not reducible" in out
         assert "oracle value center: 0" in out
+
+
+NON_FINITE_GAMES = {
+    "nan-center": '{"entries": [[[1, 0.1], [NaN, 0.1]], [[2, 0.1], [0, 0.1]]]}',
+    "nan-spread": '{"entries": [[[1, 0.1], [3, NaN]], [[2, 0.1], [0, 0.1]]]}',
+    "overflow": '{"entries": [[[1, 0.1], [1e999, 0.1]], [[2, 0.1], [0, 0.1]]]}',
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["solve", "reduce", "validate", "check"])
+    @pytest.mark.parametrize("text", NON_FINITE_GAMES.values(), ids=NON_FINITE_GAMES.keys())
+    def test_non_finite_number_exits_1(self, write_game, capsys, command, text):
+        code = main([command, write_game(text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: entries[1][2]: ")
+        assert captured.out == ""
+
+    def test_non_finite_number_prints_no_traceback(self, write_game):
+        src = os.path.dirname(os.path.dirname(fuzzygame.__file__))
+        path = write_game(NON_FINITE_GAMES["nan-center"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzygame.cli", "solve", path],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "reduce", "check"])
+    def test_beta_steps_over_cap_exits_1(self, write_game, simulation_3x4, capsys, command):
+        code = main([command, write_game(simulation_3x4), "--beta-steps", str(MAX_BETA_STEPS + 1)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"at most {MAX_BETA_STEPS}" in captured.err

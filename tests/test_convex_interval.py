@@ -1,0 +1,175 @@
+"""The exact interval test for convex dominance against the grid scan it replaced."""
+
+import collections
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from fuzzygame import FuzzyNum, PayoffMatrix, beta_grid
+from fuzzygame import solver
+from fuzzygame.matrix import Axis
+from fuzzygame.solver import (
+    _blend,
+    _check_index,
+    _entry_di,
+    convex_col_dominates,
+    convex_row_dominates,
+    reduce_dominance,
+)
+
+
+def reference_convex_row(pm, p, q, s, betas):
+    """Blend rows p and q at every grid point in order; the pre-interval algorithm."""
+    if len({p, q, s}) != 3:
+        raise ValueError(f"rows p={p}, q={q}, s={s} must be distinct")
+    _check_index(pm, Axis.ROW, p, q, s)
+    if not betas:
+        raise ValueError("beta grid must not be empty")
+    for beta in betas:
+        bf = Fraction(beta)
+        virtual = tuple(_blend(pm.entry(p, j), pm.entry(q, j), bf) for j in range(pm.cols))
+        if all(virtual[j].center >= pm.entry(s, j).center for j in range(pm.cols)):
+            evidence = tuple(
+                _entry_di(pm.entry(s, j), virtual[j]) for j in range(pm.cols)
+            )
+            return beta, evidence
+    return None
+
+
+def reference_convex_col(pm, p, q, s, alphas):
+    """Column mirror of :func:`reference_convex_row`."""
+    if len({p, q, s}) != 3:
+        raise ValueError(f"columns p={p}, q={q}, s={s} must be distinct")
+    _check_index(pm, Axis.COL, p, q, s)
+    if not alphas:
+        raise ValueError("alpha grid must not be empty")
+    for alpha in alphas:
+        af = Fraction(alpha)
+        virtual = tuple(_blend(pm.entry(i, p), pm.entry(i, q), af) for i in range(pm.rows))
+        if all(virtual[i].center <= pm.entry(i, s).center for i in range(pm.rows)):
+            evidence = tuple(
+                _entry_di(virtual[i], pm.entry(i, s)) for i in range(pm.rows)
+            )
+            return alpha, evidence
+    return None
+
+
+GRIDS = {
+    "2-point": beta_grid(2),
+    "3-point": beta_grid(3),
+    "21-point": beta_grid(21),
+    "custom": (0.75, -0.5, 1.5, 0.25, 2, 0, -3, 0.1, 1),
+}
+
+
+def _random_matrix(rng, rows, cols, center):
+    # Every other matrix has one common spread, so that no coefficient, even
+    # outside [0, 1], blends a negative spread and the custom grid's hits and
+    # misses are compared as well as its errors.
+    spreads = rng.choice(((0, 0, 0.1, 0.25, 0.5), (0.2,)))
+    return PayoffMatrix.of([
+        [(center(rng), rng.choice(spreads)) for _ in range(cols)] for _ in range(rows)
+    ])
+
+
+CENTERS = {
+    # A narrow integer range makes ties and exact boundary hits common.
+    "small-int": lambda rng: rng.randint(-3, 3),
+    "int": lambda rng: rng.randint(-20, 20),
+    "tenths": lambda rng: rng.randint(-30, 30) / 10,
+}
+
+
+def _outcome(fn, *args):
+    # A grid point outside [0, 1] may blend a negative spread, which the
+    # reference refuses with a ValueError; the error is part of the contract.
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _kind(outcome):
+    if outcome is None:
+        return "miss"
+    return "error" if outcome[0] is ValueError else "hit"
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("center", CENTERS.values(), ids=CENTERS.keys())
+def test_matches_grid_scan(grid, center):
+    rng = random.Random(20130707)
+    kinds = collections.Counter()
+    for _ in range(15):
+        pm = _random_matrix(rng, rng.randint(3, 5), rng.randint(3, 5), center)
+        for p, q, s in itertools.permutations(range(pm.rows), 3):
+            want = _outcome(reference_convex_row, pm, p, q, s, grid)
+            assert _outcome(convex_row_dominates, pm, p, q, s, grid) == want, (pm, p, q, s)
+            kinds[_kind(want)] += 1
+        for p, q, s in itertools.permutations(range(pm.cols), 3):
+            want = _outcome(reference_convex_col, pm, p, q, s, grid)
+            assert _outcome(convex_col_dominates, pm, p, q, s, grid) == want, (pm, p, q, s)
+            kinds[_kind(want)] += 1
+    # Hits and misses must both occur for the comparison to mean anything.
+    assert kinds["hit"] > 0 and kinds["miss"] > 0
+    assert (kinds["error"] > 0) == any(not 0 <= beta <= 1 for beta in grid)
+
+
+def test_boundary_coefficient_is_found():
+    # Blends of 10 and 0 reach 3 from beta = 3/10 on.  The float 0.3 lies
+    # just below 3/10, so compared exactly it misses, as in the grid scan.
+    pm = PayoffMatrix.of([[(10, 0)], [(0, 0)], [(3, 0)]])
+    assert convex_row_dominates(pm, 0, 1, 2, (0.3,)) is None
+    assert reference_convex_row(pm, 0, 1, 2, (0.3,)) is None
+    assert convex_row_dominates(pm, 0, 1, 2, (0.3, Fraction(3, 10))) == (
+        Fraction(3, 10), (0.0,)
+    )
+
+
+def test_equal_rows_with_higher_third_row_is_rejected_early():
+    pm = PayoffMatrix.of([[(1, 0.1), (2, 0.1)], [(1, 0.2), (0, 0.1)], [(2, 0.1), (1, 0.1)]])
+    assert convex_row_dominates(pm, 0, 1, 2) is None
+
+
+def test_unconstrained_interval_takes_first_grid_point():
+    pm = PayoffMatrix.of([[(1, 0.1)] * 2, [(1, 0.2)] * 2, [(1, 0.3)] * 2])
+    beta, _ = convex_row_dominates(pm, 1, 0, 2, (7, 0.5))
+    assert beta == 7
+
+
+def test_grid_point_blending_a_negative_spread_still_raises():
+    # Rows 0 and 1 admit no blend, yet the coefficient -1 must still be
+    # refused the way it always was: its blend of spreads is below zero.
+    pm = PayoffMatrix.of([[(0, 0.1)], [(0, 0.3)], [(5, 0.1)]])
+    with pytest.raises(ValueError, match="spread must be nonnegative"):
+        convex_row_dominates(pm, 1, 0, 2, (0.5, -1))
+
+
+def test_exact_centers_built_only_by_convex_tests(dominance_3x3, convex_3x3):
+    # Plain dominance never needs the rational view of the centers.
+    reduce_dominance(dominance_3x3)
+    assert "exact_centers" not in vars(dominance_3x3)
+    convex_row_dominates(convex_3x3, 1, 2, 0)
+    assert "exact_centers" in vars(convex_3x3)
+
+
+def test_reduce_dominance_calls_through_module_attributes(convex_3x3, monkeypatch):
+    calls = {"row": 0, "col": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "convex_row_dominates",
+                        counting("row", solver.convex_row_dominates))
+    monkeypatch.setattr(solver, "convex_col_dominates",
+                        counting("col", solver.convex_col_dominates))
+    result = reduce_dominance(convex_3x3)
+    assert [step.kind.value for step in result.trace] == [
+        "convex-row-dominance", "convex-col-dominance"
+    ]
+    assert calls["row"] > 0 and calls["col"] > 0

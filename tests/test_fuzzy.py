@@ -29,6 +29,26 @@ def lr(center, spread):
     return FuzzyNum(center, spread).as_lr_triple()
 
 
+class TestFuzzyNum:
+    @pytest.mark.parametrize("center, spread", [
+        (math.nan, 0.1),
+        (1, math.nan),
+        (math.inf, 0.1),
+        (-math.inf, 0.1),
+        (1, math.inf),
+        (10**400, 0),
+    ])
+    def test_non_finite_rejected(self, center, spread):
+        with pytest.raises(ValueError, match="finite"):
+            FuzzyNum(center, spread)
+
+    def test_exact_and_extreme_finite_values_accepted(self):
+        from fractions import Fraction
+
+        assert FuzzyNum(Fraction(245, 16), Fraction(1, 3)).center == Fraction(245, 16)
+        assert FuzzyNum(-1.7976931348623157e308, 1.7976931348623157e308).spread > 0
+
+
 class TestTrapezoid:
     def test_plateau(self):
         assert trapezoid_eval(5, TrapezoidMF(0, 2, 6, 8)) == 1

@@ -10,6 +10,7 @@ from fuzzygame import (
     FuzzyNum,
     MatrixSyntaxError,
     NegativeSpreadError,
+    NonFiniteNumberError,
     PayoffMatrix,
     RaggedRowsError,
     SelectionError,
@@ -44,6 +45,22 @@ class TestParse:
     def test_negative_spread_names_the_cell(self):
         with pytest.raises(NegativeSpreadError, match=r"entries\[1\]\[2\]"):
             parse_matrix('{"entries": [[[1, 0], [2, -0.1]]]}')
+
+    @pytest.mark.parametrize("cell, where", [
+        ("[NaN, 0.1]", r"entries\[1\]\[2\]"),
+        ("[1, NaN]", r"entries\[1\]\[2\]"),
+        ("[1e999, 0.1]", r"entries\[1\]\[2\]"),
+        ("[-Infinity, 0.1]", r"entries\[1\]\[2\]"),
+        ("[1, Infinity]", r"entries\[1\]\[2\]"),
+        ("[1" + "0" * 400 + ", 0]", r"entries\[1\]\[2\]"),
+    ])
+    def test_non_finite_number_names_the_cell(self, cell, where):
+        with pytest.raises(NonFiniteNumberError, match=where):
+            parse_matrix('{"entries": [[[1, 0], ' + cell + ']]}')
+
+    def test_largest_float_is_accepted(self):
+        pm = parse_matrix('{"entries": [[[-1.7976931348623157e308, 1.7976931348623157e308]]]}')
+        assert pm.entry(0, 0).spread == 1.7976931348623157e308
 
     def test_duplicate_labels(self):
         with pytest.raises(DuplicateLabelsError):

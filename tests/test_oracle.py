@@ -7,6 +7,7 @@ import pytest
 
 from fuzzygame import (
     CenterGame,
+    FuzzyNum,
     GameTooLargeError,
     PayoffMatrix,
     col_dominates,
@@ -138,6 +139,17 @@ class TestOracleCheck:
         assert report.y_ceiling == F(255, 16)
         assert report.value_match  # only the guarantee is broken
         assert not report.passed
+
+    def test_default_demands_exact_value(self, simulation_3x4):
+        # Off by 1e-12: the former default tolerance of 1e-9 passed this.
+        good = solve_pipeline(simulation_3x4)
+        off = Solution(
+            good.x, good.y, FuzzyNum(F(good.value.center) + F(1, 10**12), good.value.spread),
+            good.kind, (),
+        )
+        report = oracle_check(simulation_3x4, off)
+        assert not report.value_match and not report.passed
+        assert oracle_check(simulation_3x4, off, tol=1e-9).value_match
 
     def test_saddle_game_passes(self, saddle_2x2):
         report = oracle_check(saddle_2x2, solve_pipeline(saddle_2x2))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from fuzzygame import (
     SpreadConvention,
     StepKind,
     StrategyIndex,
+    MAX_BETA_STEPS,
     beta_grid,
     col_dominates,
     convex_col_dominates,
@@ -31,6 +33,7 @@ from fuzzygame import (
     solve_pipeline,
     submatrix,
 )
+from fuzzygame.solver import Solution, _assert_expected_payoff
 
 
 def random_matrix(rng, m, n, lo=-20, hi=20, max_spread=0.5):
@@ -180,6 +183,16 @@ class TestBetaGrid:
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             beta_grid(1)
+
+    def test_cap_is_inclusive(self):
+        grid = beta_grid(MAX_BETA_STEPS)
+        assert len(grid) == MAX_BETA_STEPS and grid[0] == 0.5
+
+    def test_over_cap_rejected_before_allocating(self):
+        # A grid of 10**15 floats would not fit in memory: the check must come first.
+        for steps in (MAX_BETA_STEPS + 1, 10**15):
+            with pytest.raises(ValueError, match="at most"):
+                beta_grid(steps)
 
 
 class TestSolve2x2:
@@ -353,6 +366,23 @@ class TestSolvePipeline:
         assert sol.trace[0].kind is StepKind.CONVEX_ROW_DOMINANCE
         assert sol.trace[0].deleted == StrategyIndex(Axis.ROW, 0)
         assert F(sol.value.center) == F(245, 16)
+
+
+class TestExactInvariants:
+    def test_probabilities_must_sum_to_exactly_one(self):
+        # Off by 1e-15: a float tolerance of 1e-12 used to let this through.
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            Solution(
+                (F(1, 3), F(2, 3) - F(1, 10**15)), (F(1),), FuzzyNum(0, 0),
+                SolutionKind.MIXED_2X2, (),
+            )
+
+    def test_expected_payoff_must_match_the_value_exactly(self, simulation_3x4):
+        good = solve_pipeline(simulation_3x4)
+        _assert_expected_payoff(simulation_3x4, good)
+        off = replace(good, value=FuzzyNum(F(good.value.center) + F(1, 10**12), 0))
+        with pytest.raises(RuntimeError, match="expected payoff"):
+            _assert_expected_payoff(simulation_3x4, off)
 
 
 class TestSolutionInvariants:
