@@ -1,5 +1,7 @@
 """Worked example matrices shared across the suite."""
 
+import random
+
 import pytest
 
 from fuzzygame import PayoffMatrix
@@ -62,3 +64,39 @@ def irreducible_4x4():
     return PayoffMatrix.of([
         [(3, 0.1) if i == j else (-1, 0.1) for j in range(4)] for i in range(4)
     ])
+
+
+def _planted(seed, m, n):
+    """m x n game whose only undominated strategies form a saddle-free 2x2 core.
+
+    Core centers lie in [10, 20].  Padding rows score [0, 5] in core columns
+    and [6, 9] in padding columns; core rows score [25, 30] in padding
+    columns.  So every padding row is strictly below every core row and
+    every padding column strictly above every core column, and the game's
+    value is the core's.
+    """
+    rng = random.Random(seed)
+    while True:
+        (a, b), (c, d) = [[rng.randint(10, 20) for _ in range(2)] for _ in range(2)]
+        if max(min(a, b), min(c, d)) < min(max(a, c), max(b, d)):
+            break
+    core_rows, core_cols = rng.sample(range(m), 2), rng.sample(range(n), 2)
+    core = {(core_rows[0], core_cols[0]): a, (core_rows[0], core_cols[1]): b,
+            (core_rows[1], core_cols[0]): c, (core_rows[1], core_cols[1]): d}
+
+    def center(i, j):
+        if (i, j) in core:
+            return core[i, j]
+        if i in core_rows:
+            return rng.randint(25, 30)
+        return rng.randint(0, 5) if j in core_cols else rng.randint(6, 9)
+
+    return PayoffMatrix.of(
+        [[(center(i, j), rng.randint(0, 50) / 100) for j in range(n)] for i in range(m)]
+    )
+
+
+@pytest.fixture
+def planted_game():
+    # Factory: planted_game(seed, m, n) -> PayoffMatrix (see _planted).
+    return _planted

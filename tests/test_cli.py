@@ -200,6 +200,17 @@ class TestCheck:
         assert "not reducible" in out
         assert "oracle value center: 0" in out
 
+    def test_planted_12x12_passes(self, write_game, planted_game, capsys):
+        code = main(["check", write_game(planted_game(12, 12, 12))])
+        assert code == 0
+        assert "value match:  ok" in capsys.readouterr().out
+
+    def test_over_oracle_cap_exits_1(self, write_game, planted_game, capsys):
+        code = main(["check", write_game(planted_game(33, 33, 33))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: 33x33 exceeds the 32x32 oracle cap\n"
+
 
 NON_FINITE_GAMES = {
     "nan-center": '{"entries": [[[1, 0.1], [NaN, 0.1]], [[2, 0.1], [0, 0.1]]]}',

@@ -1,4 +1,4 @@
-"""Exact center-game oracle: kernel enumeration against known games."""
+"""Exact center-game oracle: the simplex solver against known games."""
 
 import random
 from fractions import Fraction as F
@@ -55,8 +55,11 @@ class TestOracleValue:
                 assert sum(g.grid[i][j] * sol.y[j] for j in range(n)) <= sol.value
 
     def test_size_cap(self):
-        with pytest.raises(GameTooLargeError):
-            oracle_value(game([[0] * 9] * 2))
+        for m, n in ((2, 33), (33, 2)):
+            with pytest.raises(GameTooLargeError, match=f"{m}x{n} exceeds the 32x32 oracle cap"):
+                oracle_value(game([[0] * n] * m))
+        identity_9x9 = game([[int(i == j) for j in range(9)] for i in range(9)])
+        assert oracle_value(identity_9x9).value == F(1, 9)
 
 
 class TestOracleProperties:
@@ -155,3 +158,13 @@ class TestOracleCheck:
         report = oracle_check(saddle_2x2, solve_pipeline(saddle_2x2))
         assert report.passed
         assert report.oracle_center == 16
+
+
+class TestSolverAgainstOracleBeyondEight:
+    def test_planted_games_9_to_16(self, planted_game):
+        for m in range(9, 17):
+            for n in range(9, 17):
+                pm = planted_game(m * 100 + n, m, n)
+                sol = solve_pipeline(pm)
+                assert sol.kind is SolutionKind.MIXED_2X2
+                assert oracle_check(pm, sol).passed
