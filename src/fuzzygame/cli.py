@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank
 from .matrix import Axis, MatrixError, PayoffMatrix, parse_matrix, serialize_matrix
-from .oracle import GameTooLargeError, OracleReport, oracle_check, oracle_value, CenterGame
+from .oracle import CenterGame, OracleReport, check_size, oracle_check, oracle_value
 from .solver import (
     NotReducibleError,
     PipelineConfig,
@@ -256,14 +256,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _exact_str(value: Fraction) -> str:
+    # The oracle's numbers are exact: n/d whatever the denominator, then the decimal.
+    return f"{value} = {float(value)}"
+
+
 def _render_report(report: OracleReport) -> None:
     def mark(ok: bool) -> str:
         return "ok" if ok else "FAIL"
 
-    print(f"oracle value center:   {frac_str(report.oracle_center)}"
-          f" = {float(report.oracle_center)}")
-    print(f"pipeline value center: {frac_str(report.solution_center)}"
-          f" = {float(report.solution_center)}")
+    print(f"oracle value center:   {_exact_str(report.oracle_center)}")
+    print(f"pipeline value center: {_exact_str(report.solution_center)}")
     print(f"value match:  {mark(report.value_match)}")
     print(f"x guarantee:  {mark(report.x_guarantee)}"
           f" (worst column payoff {float(report.x_floor)})")
@@ -275,25 +278,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         pm = _load_matrix(args.input)
         config = _config_from_args(args)
+        check_size(pm.rows, pm.cols)  # before solving, which costs more the larger the game
     except (MatrixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError:
-        try:
-            oracle = oracle_value(CenterGame.from_payoff(pm))
-        except GameTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        oracle = oracle_value(CenterGame.from_payoff(pm))
         print("pipeline: not reducible by the dominance method (no check performed)")
-        print(f"oracle value center: {frac_str(oracle.value)} = {float(oracle.value)}")
+        print(f"oracle value center: {_exact_str(oracle.value)}")
         return EXIT_OK
-    try:
-        report = oracle_check(pm, solution)
-    except GameTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = oracle_check(pm, solution)
     _render_report(report)
     return EXIT_OK if report.passed else EXIT_INPUT
 

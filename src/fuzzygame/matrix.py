@@ -150,6 +150,19 @@ class PayoffMatrix:
         """The centers as exact rationals, converted on first use and kept."""
         return tuple(tuple(Fraction(e.center) for e in row) for row in self.entries)
 
+    @cached_property
+    def dual(self) -> "PayoffMatrix":
+        """The negated transpose with the labels swapped, built on first use and kept.
+
+        Its rows are the column player's strategies: minimizing over this
+        game's columns is maximizing over the dual's rows.
+        """
+        return PayoffMatrix(
+            tuple(tuple(FuzzyNum(-e.center, e.spread) for e in col) for col in zip(*self.entries)),
+            self.col_labels,
+            self.row_labels,
+        )
+
 
 def parse_matrix(text: str) -> PayoffMatrix:
     """Parse a matrix document, reporting the position of whatever is wrong."""

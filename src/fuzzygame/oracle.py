@@ -30,6 +30,12 @@ class GameTooLargeError(ValueError):
     """Center game exceeds the oracle's size cap."""
 
 
+def check_size(rows: int, cols: int) -> None:
+    """Refuse a ``rows`` x ``cols`` game above ``SIZE_CAP`` with :class:`GameTooLargeError`."""
+    if rows > SIZE_CAP or cols > SIZE_CAP:
+        raise GameTooLargeError(f"{rows}x{cols} exceeds the {SIZE_CAP}x{SIZE_CAP} oracle cap")
+
+
 @dataclass(frozen=True)
 class CenterGame:
     """Crisp m x n game: the centers of a fuzzy payoff matrix."""
@@ -88,8 +94,7 @@ def oracle_value(game: CenterGame) -> OracleSolution:
     would pick.
     """
     m, n = game.rows, game.cols
-    if m > SIZE_CAP or n > SIZE_CAP:
-        raise GameTooLargeError(f"{m}x{n} exceeds the {SIZE_CAP}x{SIZE_CAP} oracle cap")
+    check_size(m, n)
     g = game.grid
     shift = 1 - math.floor(min(min(row) for row in g))
     zero, one = Fraction(0), Fraction(1)

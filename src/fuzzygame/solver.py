@@ -9,6 +9,12 @@ residual is solved in closed form; a 2xn or mx2 residual goes through
 enumeration of its 2x2 sub-games.  Anything larger is reported as not
 reducible by this method.
 
+The minimizing column player of a game is the maximizing row player of its
+negated transpose (:attr:`PayoffMatrix.dual`), so each test is written once:
+plain column dominance is the row test on two columns with their order
+swapped, and convex column dominance and the column player's guarantee run
+the row versions on the dual.
+
 Mixed strategies and value centers are computed in exact rational
 arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
 """
@@ -17,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fuzzy import Attitude, Choice, FuzzyNum, di_fuzzy, prefer_min
 from .matrix import Axis, PayoffMatrix, StrategyIndex, submatrix
@@ -129,6 +135,16 @@ def beta_grid(steps: int = 21) -> tuple[float, ...]:
 DEFAULT_BETAS = beta_grid()
 
 
+def _check_coefficients(betas: tuple[float, ...]) -> None:
+    # A coefficient outside [0, 1] blends two strategies into one that is
+    # not a mixed strategy, so a deletion by it would be unsound.
+    if not betas:
+        raise ValueError("convex coefficient grid must not be empty")
+    for beta in betas:
+        if not 0 <= beta <= 1:
+            raise ValueError(f"convex coefficients must lie in [0, 1], got {beta}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of the reduction pipeline.
@@ -136,6 +152,7 @@ class PipelineConfig:
     ``threshold`` > 0 additionally requires every per-entry dominance index
     to reach it (the literal total-dominance regime); the default 0 uses
     weak dominance on centers, which is what the worked reductions need.
+    Every convex coefficient in ``betas`` must lie in [0, 1].
     """
 
     threshold: float = 0.0
@@ -146,8 +163,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
-        if not self.betas:
-            raise ValueError("beta grid must not be empty")
+        _check_coefficients(self.betas)
 
 
 def _entry_di(a: FuzzyNum, b: FuzzyNum) -> float:
@@ -156,6 +172,11 @@ def _entry_di(a: FuzzyNum, b: FuzzyNum) -> float:
         diff = b.center - a.center
         return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
     return float(di_fuzzy(a.as_lr_triple(), b.as_lr_triple()))
+
+
+def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
+    # Per entry, the dominance index of the lower line over the upper one.
+    return tuple(_entry_di(a, b) for a, b in zip(lo, hi))
 
 
 def find_saddle(
@@ -184,6 +205,8 @@ def find_saddle(
 
 
 def _check_index(pm: PayoffMatrix, axis: Axis, *indices: int) -> None:
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"{axis.value} indices {indices} must be distinct")
     size = pm.rows if axis is Axis.ROW else pm.cols
     for idx in indices:
         if not 0 <= idx < size:
@@ -200,22 +223,8 @@ def row_dominates(
     index.  A positive ``threshold`` additionally requires every per-column
     dominance index to reach it.
     """
-    if i == r:
-        raise ValueError("a row cannot dominate itself")
     _check_index(pm, Axis.ROW, i, r)
-    strict = False
-    for j in range(pm.cols):
-        ci, cr = pm.entry(i, j).center, pm.entry(r, j).center
-        if ci < cr:
-            return None
-        if ci > cr:
-            strict = True
-    if not strict and not i < r:
-        return None
-    evidence = tuple(_entry_di(pm.entry(r, j), pm.entry(i, j)) for j in range(pm.cols))
-    if threshold > 0 and any(di < threshold for di in evidence):
-        return None
-    return evidence
+    return _covers(pm.entries[i], pm.entries[r], i < r, threshold)
 
 
 def col_dominates(
@@ -225,20 +234,32 @@ def col_dominates(
 
     Column ``j`` dominates column ``s`` when it is entrywise at most ``s``
     on centers with one strict gap (or an exact duplicate with j < s).
+    Negating the centers turns "at most" into "at least", so this is the
+    row test with column ``s`` on top of column ``j``.
     """
-    if j == s:
-        raise ValueError("a column cannot dominate itself")
     _check_index(pm, Axis.COL, j, s)
+    rows = pm.entries
+    return _covers([row[s] for row in rows], [row[j] for row in rows], j < s, threshold)
+
+
+def _covers(
+    hi: Sequence[FuzzyNum], lo: Sequence[FuzzyNum], tie_ok: bool, threshold: float
+) -> tuple[float, ...] | None:
+    """Evidence that line ``hi`` lies entrywise at or above line ``lo``, else None.
+
+    One strict gap on centers is needed, or ``tie_ok`` for an exact
+    duplicate; a positive ``threshold`` must be reached by every entry's
+    dominance index.
+    """
     strict = False
-    for i in range(pm.rows):
-        cj, cs = pm.entry(i, j).center, pm.entry(i, s).center
-        if cj > cs:
+    for top, low in zip(hi, lo):
+        if top.center < low.center:
             return None
-        if cj < cs:
+        if top.center > low.center:
             strict = True
-    if not strict and not j < s:
+    if not (strict or tie_ok):
         return None
-    evidence = tuple(_entry_di(pm.entry(i, j), pm.entry(i, s)) for i in range(pm.rows))
+    evidence = _evidence(lo, hi)
     if threshold > 0 and any(di < threshold for di in evidence):
         return None
     return evidence
@@ -253,33 +274,28 @@ def _blend(a: FuzzyNum, b: FuzzyNum, beta: Fraction) -> FuzzyNum:
 
 
 def _blends(
-    first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: Fraction
+    first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: float
 ) -> tuple[FuzzyNum, ...]:
-    return tuple(_blend(a, b, beta) for a, b in zip(first, second))
+    bf = Fraction(beta)
+    return tuple(_blend(a, b, bf) for a, b in zip(first, second))
 
 
 def _first_feasible(
-    constraints: Iterable[tuple[Fraction, Fraction]],
-    betas: tuple[float, ...],
-    first: tuple[FuzzyNum, ...],
-    second: tuple[FuzzyNum, ...],
+    centers: tuple[tuple[Fraction, ...], ...], p: int, q: int, s: int, betas: tuple[float, ...]
 ) -> float | None:
-    """First grid point ``beta`` with ``beta * d >= r`` for every ``(d, r)``, else None.
+    """First grid point ``beta`` whose blend of rows ``p`` and ``q`` covers row ``s``.
 
-    Each constraint bounds ``beta`` from one side (or, when ``d == 0``, holds
-    for every ``beta`` or for none), so together they cut out one interval
-    ``lo <= beta <= hi`` whose ends may be open-ended.  It is found in one
-    exact pass that stops as soon as it is empty; then the grid is scanned,
-    in the caller's order, for the first point inside it.
-
-    A grid point outside [0, 1] can blend ``first`` and ``second`` into a
-    negative spread, which :class:`FuzzyNum` refuses; such points are
-    blended as they are passed, so a bad grid raises the same
-    ``ValueError`` whether or not a coefficient before it is accepted.
+    Per column that is ``beta * d >= r`` with ``d = c_pj - c_qj`` and
+    ``r = c_sj - c_qj``.  Each constraint bounds ``beta`` from one side (or,
+    when ``d == 0``, holds for every ``beta`` or for none), so together they
+    cut out one interval ``lo <= beta <= hi`` whose ends may be open-ended.
+    It is found in one exact pass that stops as soon as it is empty; then
+    the grid is scanned, in the caller's order, for the first point inside
+    it.  Returns None when there is none.
     """
     lo = hi = None
-    feasible = True
-    for d, r in constraints:
+    for cp, cq, cs in zip(centers[p], centers[q], centers[s]):
+        d, r = cp - cq, cs - cq
         if d > 0:
             bound = r / d
             if lo is None or bound > lo:
@@ -289,18 +305,12 @@ def _first_feasible(
             if hi is None or bound < hi:
                 hi = bound
         elif r > 0:
-            feasible = False
-            break
+            return None
         if lo is not None and hi is not None and lo > hi:
-            feasible = False
-            break
-    if not feasible and all(0 <= beta <= 1 for beta in betas):
-        return None
+            return None
     for beta in betas:
         bf = Fraction(beta)
-        if not 0 <= bf <= 1:
-            _blends(first, second, bf)
-        if feasible and (lo is None or lo <= bf) and (hi is None or bf <= hi):
+        if (lo is None or lo <= bf) and (hi is None or bf <= hi):
             return beta
     return None
 
@@ -316,25 +326,15 @@ def convex_row_dominates(
     everywhere counts, since the blend makes row s redundant).  Per column
     that is ``beta * (c_pj - c_qj) >= c_sj - c_qj``, so the coefficients that
     work form one exact interval; the first grid point inside it is the
-    answer, and only its blend is built, for the evidence.
+    answer, and only its blend is built, for the evidence.  Every
+    coefficient must lie in [0, 1].
     """
-    if len({p, q, s}) != 3:
-        raise ValueError(f"rows p={p}, q={q}, s={s} must be distinct")
     _check_index(pm, Axis.ROW, p, q, s)
-    if not betas:
-        raise ValueError("beta grid must not be empty")
-    centers = pm.exact_centers
-    first, second = pm.row(p), pm.row(q)
-    beta = _first_feasible(
-        ((cp - cq, cs - cq) for cp, cq, cs in zip(centers[p], centers[q], centers[s])),
-        betas,
-        first,
-        second,
-    )
+    _check_coefficients(betas)
+    beta = _first_feasible(pm.exact_centers, p, q, s, betas)
     if beta is None:
         return None
-    virtual = _blends(first, second, Fraction(beta))
-    return beta, tuple(_entry_di(a, v) for a, v in zip(pm.row(s), virtual))
+    return beta, _evidence(pm.row(s), _blends(pm.row(p), pm.row(q), beta))
 
 
 def convex_col_dominates(
@@ -343,28 +343,31 @@ def convex_col_dominates(
     """Mirror of :func:`convex_row_dominates` in the sense of minimization.
 
     Per row the blend must stay at most column s, that is
-    ``alpha * (c_iq - c_ip) >= c_iq - c_is``.
+    ``alpha * (c_iq - c_ip) >= c_iq - c_is``: the row test on the negated
+    transpose :attr:`PayoffMatrix.dual`, whose exact centers give the
+    reversed inequality exactly.  The evidence is read on this game's own
+    columns, the blend below column s, as for plain column dominance; on
+    the dual, an index of -0.0 at a center of -0.0 would lose its sign.
     """
-    if len({p, q, s}) != 3:
-        raise ValueError(f"columns p={p}, q={q}, s={s} must be distinct")
     _check_index(pm, Axis.COL, p, q, s)
-    if not alphas:
-        raise ValueError("alpha grid must not be empty")
-    first, second = pm.col(p), pm.col(q)
-    alpha = _first_feasible(
-        ((row[q] - row[p], row[q] - row[s]) for row in pm.exact_centers),
-        alphas,
-        first,
-        second,
-    )
+    _check_coefficients(alphas)
+    alpha = _first_feasible(pm.dual.exact_centers, p, q, s, alphas)
     if alpha is None:
         return None
-    virtual = _blends(first, second, Fraction(alpha))
-    return alpha, tuple(_entry_di(v, a) for v, a in zip(virtual, pm.col(s)))
+    return alpha, _evidence(_blends(pm.col(p), pm.col(q), alpha), pm.col(s))
 
 
 def _pure(size: int, at: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if k == at else Fraction(0) for k in range(size))
+
+
+def _saddle_solution(pm: PayoffMatrix, saddle: tuple[int, int, FuzzyNum]) -> Solution:
+    i, j, entry = saddle
+    label = f"saddle at ({pm.row_labels[i]}, {pm.col_labels[j]})"
+    step = ReductionStep(StepKind.SADDLE_FOUND, None, label, ())
+    return Solution(
+        _pure(pm.rows, i), _pure(pm.cols, j), entry, SolutionKind.PURE_SADDLE, (step,)
+    )
 
 
 def _expected_spread(
@@ -405,14 +408,7 @@ def solve_2x2(
 
     saddle = find_saddle(pm, attitude)
     if saddle is not None:
-        i, j, entry = saddle
-        step = ReductionStep(
-            StepKind.SADDLE_FOUND,
-            None,
-            f"saddle at ({pm.row_labels[i]}, {pm.col_labels[j]})",
-            (),
-        )
-        return Solution(_pure(2, i), _pure(2, j), entry, SolutionKind.PURE_SADDLE, (step,))
+        return _saddle_solution(pm, saddle)
 
     m11, m12 = Fraction(pm.entry(0, 0).center), Fraction(pm.entry(0, 1).center)
     m21, m22 = Fraction(pm.entry(1, 0).center), Fraction(pm.entry(1, 1).center)
@@ -425,11 +421,10 @@ def solve_2x2(
         raise RuntimeError("internal consistency: no saddle point yet degenerate mix")
     center = (m11 * m22 - m12 * m21) / d
 
+    spread = None
     if convention is SpreadConvention.ENDPOINT:
         spread = _endpoint_spread(pm, center)
-        if spread is None:
-            spread = _expected_spread(pm, x, y)
-    else:
+    if spread is None:
         spread = _expected_spread(pm, x, y)
 
     return Solution(x, y, FuzzyNum(center, spread), SolutionKind.MIXED_2X2, ())
@@ -477,13 +472,9 @@ def enumerate_subgames(
     lexicographically first pair.
     """
     if pm.rows == 2 and pm.cols >= 3:
-        axis = Axis.COL
-        pairs = itertools.combinations(range(pm.cols), 2)
-        minimize = True
+        axis, size, minimize = Axis.COL, pm.cols, True
     elif pm.cols == 2 and pm.rows >= 3:
-        axis = Axis.ROW
-        pairs = itertools.combinations(range(pm.rows), 2)
-        minimize = False
+        axis, size, minimize = Axis.ROW, pm.rows, False
     else:
         raise ShapeError(
             f"sub-game enumeration needs a 2xn (n >= 3) or mx2 (m >= 3) matrix, "
@@ -491,11 +482,9 @@ def enumerate_subgames(
         )
 
     candidates = []
-    for pair in pairs:
-        if axis is Axis.COL:
-            sub = submatrix(pm, (0, 1), pair)
-        else:
-            sub = submatrix(pm, pair, (0, 1))
+    for pair in itertools.combinations(range(size), 2):
+        keep = (pair, (0, 1)) if axis is Axis.ROW else ((0, 1), pair)
+        sub = submatrix(pm, *keep)
         candidates.append(SubgameCandidate(pair, solve_2x2(sub, convention, attitude)))
 
     best = candidates[0]
@@ -531,61 +520,50 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
     """
     config = config or PipelineConfig()
     work = pm
-    row_ids = list(range(pm.rows))
-    col_ids = list(range(pm.cols))
+    ids = [list(range(pm.rows)), list(range(pm.cols))]  # rows, then columns
     steps: list[ReductionStep] = []
     while True:
         hit = _first_deletion(work, config)
         if hit is None:
             break
         kind, axis, pos, dominator, evidence = hit
-        if axis is Axis.ROW:
-            original = StrategyIndex(axis, row_ids.pop(pos))
-            work = submatrix(work, [i for i in range(work.rows) if i != pos], range(work.cols))
-        else:
-            original = StrategyIndex(axis, col_ids.pop(pos))
-            work = submatrix(work, range(work.rows), [j for j in range(work.cols) if j != pos])
+        side = 0 if axis is Axis.ROW else 1
+        original = StrategyIndex(axis, ids[side].pop(pos))
         steps.append(ReductionStep(kind, original, dominator, evidence))
-    return ReductionResult(work, tuple(steps), tuple(row_ids), tuple(col_ids))
+        keep = [range(work.rows), range(work.cols)]
+        keep[side] = [k for k in keep[side] if k != pos]
+        work = submatrix(work, *keep)
+    return ReductionResult(work, tuple(steps), tuple(ids[0]), tuple(ids[1]))
 
 
 def _first_deletion(
     pm: PayoffMatrix, config: PipelineConfig
 ) -> tuple[StepKind, Axis, int, str, tuple[float, ...]] | None:
-    if pm.rows > 1:
-        for r in range(pm.rows):
-            for i in range(pm.rows):
-                if i == r:
-                    continue
-                evidence = row_dominates(pm, i, r, config.threshold)
-                if evidence is not None:
-                    return (StepKind.ROW_DOMINANCE, Axis.ROW, r, pm.row_labels[i], evidence)
-    if pm.cols > 1:
-        for s in range(pm.cols):
-            for j in range(pm.cols):
-                if j == s:
-                    continue
-                evidence = col_dominates(pm, j, s, config.threshold)
-                if evidence is not None:
-                    return (StepKind.COL_DOMINANCE, Axis.COL, s, pm.col_labels[j], evidence)
-    if pm.rows >= 3:
-        for s in range(pm.rows):
-            others = [i for i in range(pm.rows) if i != s]
+    # The four public tests are looked up here, at call time, so that a
+    # wrapper installed on the module sees every call.
+    rows = (Axis.ROW, pm.rows, pm.row_labels)
+    cols = (Axis.COL, pm.cols, pm.col_labels)
+    for kind, dominates, (axis, size, labels) in (
+        (StepKind.ROW_DOMINANCE, row_dominates, rows),
+        (StepKind.COL_DOMINANCE, col_dominates, cols),
+    ):
+        for s in range(size):
+            for d in range(size):
+                if d != s:
+                    evidence = dominates(pm, d, s, config.threshold)
+                    if evidence is not None:
+                        return kind, axis, s, labels[d], evidence
+    for kind, dominates, (axis, size, labels) in (
+        (StepKind.CONVEX_ROW_DOMINANCE, convex_row_dominates, rows),
+        (StepKind.CONVEX_COL_DOMINANCE, convex_col_dominates, cols),
+    ):
+        for s in range(size):
+            others = [k for k in range(size) if k != s]
             for p, q in itertools.combinations(others, 2):
-                hit = convex_row_dominates(pm, p, q, s, config.betas)
+                hit = dominates(pm, p, q, s, config.betas)
                 if hit is not None:
                     beta, evidence = hit
-                    dominator = _blend_label(beta, pm.row_labels[p], pm.row_labels[q])
-                    return (StepKind.CONVEX_ROW_DOMINANCE, Axis.ROW, s, dominator, evidence)
-    if pm.cols >= 3:
-        for s in range(pm.cols):
-            others = [j for j in range(pm.cols) if j != s]
-            for p, q in itertools.combinations(others, 2):
-                hit = convex_col_dominates(pm, p, q, s, config.betas)
-                if hit is not None:
-                    alpha, evidence = hit
-                    dominator = _blend_label(alpha, pm.col_labels[p], pm.col_labels[q])
-                    return (StepKind.CONVEX_COL_DOMINANCE, Axis.COL, s, dominator, evidence)
+                    return kind, axis, s, _blend_label(beta, labels[p], labels[q]), evidence
     return None
 
 
@@ -605,16 +583,7 @@ def solve_pipeline(pm: PayoffMatrix, config: PipelineConfig | None = None) -> So
 
     saddle = find_saddle(pm, config.attitude)
     if saddle is not None:
-        i, j, entry = saddle
-        step = ReductionStep(
-            StepKind.SADDLE_FOUND,
-            None,
-            f"saddle at ({pm.row_labels[i]}, {pm.col_labels[j]})",
-            (),
-        )
-        return Solution(
-            _pure(pm.rows, i), _pure(pm.cols, j), entry, SolutionKind.PURE_SADDLE, (step,)
-        )
+        return _saddle_solution(pm, saddle)
 
     reduced = reduce_dominance(pm, config)
     work = reduced.residual
@@ -624,44 +593,41 @@ def solve_pipeline(pm: PayoffMatrix, config: PipelineConfig | None = None) -> So
             "internal consistency: dominance reduced a saddle-free game below 2x2"
         )
 
+    ids = {Axis.ROW: reduced.row_ids, Axis.COL: reduced.col_ids}
     if (work.rows, work.cols) == (2, 2):
         sub = solve_2x2(work, config.convention, config.attitude)
-        sub_rows, sub_cols = reduced.row_ids, reduced.col_ids
-        steps.extend(sub.trace)
     elif work.rows == 2 or work.cols == 2:
         enum = enumerate_subgames(work, config.convention, config.attitude)
         chosen = next(c for c in enum.candidates if c.pair == enum.chosen)
-        if enum.axis is Axis.COL:
-            kept = tuple(work.col_labels[k] for k in enum.chosen)
-            sub_rows = reduced.row_ids
-            sub_cols = tuple(reduced.col_ids[k] for k in enum.chosen)
-        else:
-            kept = tuple(work.row_labels[k] for k in enum.chosen)
-            sub_rows = tuple(reduced.row_ids[k] for k in enum.chosen)
-            sub_cols = reduced.col_ids
-        steps.append(
-            ReductionStep(
-                StepKind.SUBGAME_SELECTION,
-                None,
-                f"sub-game ({kept[0]}, {kept[1]})",
-                tuple(float(c.solution.value.center) for c in enum.candidates),
-            )
-        )
+        labels = work.row_labels if enum.axis is Axis.ROW else work.col_labels
+        ids[enum.axis] = tuple(ids[enum.axis][k] for k in enum.chosen)
+        label = f"sub-game ({', '.join(labels[k] for k in enum.chosen)})"
+        centers = tuple(float(c.solution.value.center) for c in enum.candidates)
+        steps.append(ReductionStep(StepKind.SUBGAME_SELECTION, None, label, centers))
         sub = _repaired_subgame_solution(work, enum, chosen)
-        steps.extend(sub.trace)
     else:
         raise NotReducibleError(work, tuple(steps))
+    steps.extend(sub.trace)
 
-    x = [Fraction(0)] * pm.rows
-    y = [Fraction(0)] * pm.cols
-    for pos, orig in enumerate(sub_rows):
-        x[orig] = sub.x[pos]
-    for pos, orig in enumerate(sub_cols):
-        y[orig] = sub.y[pos]
-
-    solution = Solution(tuple(x), tuple(y), sub.value, sub.kind, tuple(steps))
+    solution = Solution(
+        _on_original(pm.rows, ids[Axis.ROW], sub.x),
+        _on_original(pm.cols, ids[Axis.COL], sub.y),
+        sub.value,
+        sub.kind,
+        tuple(steps),
+    )
     _assert_expected_payoff(pm, solution)
     return solution
+
+
+def _on_original(
+    size: int, ids: Sequence[int], probs: tuple[Fraction, ...]
+) -> tuple[Fraction, ...]:
+    # Place each kept strategy's probability at its original index; the deleted get 0.
+    out = [Fraction(0)] * size
+    for orig, prob in zip(ids, probs):
+        out[orig] = prob
+    return tuple(out)
 
 
 def _repaired_subgame_solution(
@@ -674,55 +640,27 @@ def _repaired_subgame_solution(
     pure strategy for the OTHER player can fail against strategies outside
     the pair (this needs tied sub-game values).  In that case the strategy
     is borrowed from another enumerated sub-game that does satisfy the
-    guarantee; such a donor always exists.
+    guarantee; such a donor always exists.  The column player's guarantee
+    is checked as the row player's on the dual, against the negated value.
     """
-    value = Fraction(chosen.solution.value.center)
-    centers = work.exact_centers  # already built by the convex tests on this residual
-
+    solution = chosen.solution
+    value = Fraction(solution.value.center)
     if enum.axis is Axis.COL:
-        if _x_guarantee(centers, chosen.solution.x, value):
-            return chosen.solution
-        for cand in enum.candidates:
-            if _x_guarantee(centers, cand.solution.x, value):
-                return Solution(
-                    cand.solution.x,
-                    chosen.solution.y,
-                    chosen.solution.value,
-                    chosen.solution.kind,
-                    chosen.solution.trace,
-                )
+        other, centers = "x", work.exact_centers
     else:
-        if _y_guarantee(centers, chosen.solution.y, value):
-            return chosen.solution
-        for cand in enum.candidates:
-            if _y_guarantee(centers, cand.solution.y, value):
-                return Solution(
-                    chosen.solution.x,
-                    cand.solution.y,
-                    chosen.solution.value,
-                    chosen.solution.kind,
-                    chosen.solution.trace,
-                )
+        other, centers, value = "y", work.dual.exact_centers, -value
+    for cand in (chosen, *enum.candidates):
+        mix = getattr(cand.solution, other)
+        if _guarantees(centers, mix, value):
+            return solution if cand is chosen else replace(solution, **{other: mix})
     raise RuntimeError("internal consistency: no enumerated sub-game passes the guarantee")
 
 
-def _x_guarantee(
+def _guarantees(
     centers: Sequence[Sequence[Fraction]], x: tuple[Fraction, ...], value: Fraction
 ) -> bool:
-    # x lives on the residual's two rows; every residual column must pay at least value.
-    cols = len(centers[0])
-    return all(
-        sum(x[i] * centers[i][j] for i in range(len(centers))) >= value for j in range(cols)
-    )
-
-
-def _y_guarantee(
-    centers: Sequence[Sequence[Fraction]], y: tuple[Fraction, ...], value: Fraction
-) -> bool:
-    cols = len(centers[0])
-    return all(
-        sum(centers[i][j] * y[j] for j in range(cols)) <= value for i in range(len(centers))
-    )
+    # x mixes the rows of centers; every column must pay the maximizer at least value.
+    return all(sum(p * c for p, c in zip(x, col)) >= value for col in zip(*centers))
 
 
 def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:

@@ -211,6 +211,39 @@ class TestCheck:
         assert code == 1
         assert captured.err == "error: 33x33 exceeds the 32x32 oracle cap\n"
 
+    def test_over_oracle_cap_is_refused_before_solving(self, write_game, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("check solved a game the oracle cannot check")
+
+        monkeypatch.setattr(fuzzygame.cli, "solve_pipeline", no_solve)
+        text = json.dumps({"entries": [[[(i * 7 + j * 3) % 11, 0.1] for j in range(33)]
+                                       for i in range(33)]})
+        code = main(["check", write_game(text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: 33x33 exceeds the 32x32 oracle cap\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("irreducible", [False, True], ids=["checked", "not-reducible"])
+    def test_oracle_center_is_printed_exactly(self, write_game, capsys, irreducible):
+        # Float centers give values whose denominators run past 10**6, where
+        # solve and reduce fall back to a decimal.
+        centers = [[0.3, -0.7], [-0.2, 0.9]]
+        if irreducible:
+            centers = [[0.3 if i == j else -0.1 for j in range(4)] for i in range(4)]
+        pm = fuzzygame.PayoffMatrix.of([[(c, 0.1) for c in row] for row in centers])
+        value = fuzzygame.oracle_value(fuzzygame.CenterGame.from_payoff(pm)).value
+        assert value.denominator > 10**6
+        code = main(["check", write_game(pm)])
+        out = capsys.readouterr().out
+        exact = f"{value.numerator}/{value.denominator} = {float(value)}\n"
+        assert code == 0
+        if irreducible:
+            assert f"oracle value center: {exact}" in out
+        else:
+            assert f"oracle value center:   {exact}" in out
+            assert f"pipeline value center: {exact}" in out
+
 
 NON_FINITE_GAMES = {
     "nan-center": '{"entries": [[[1, 0.1], [NaN, 0.1]], [[2, 0.1], [0, 0.1]]]}',

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzygame import FuzzyNum, PayoffMatrix, beta_grid
+from fuzzygame import (
+    CenterGame,
+    NotReducibleError,
+    PayoffMatrix,
+    PipelineConfig,
+    beta_grid,
+    oracle_value,
+    solve_pipeline,
+)
 from fuzzygame import solver
 from fuzzygame.matrix import Axis
 from fuzzygame.solver import (
@@ -60,14 +68,13 @@ GRIDS = {
     "2-point": beta_grid(2),
     "3-point": beta_grid(3),
     "21-point": beta_grid(21),
-    "custom": (0.75, -0.5, 1.5, 0.25, 2, 0, -3, 0.1, 1),
+    "custom": (0.75, 0.35, 1, 0.25, 0.6, 0, 0.9, 0.1, 0.5),
 }
 
 
 def _random_matrix(rng, rows, cols, center):
-    # Every other matrix has one common spread, so that no coefficient, even
-    # outside [0, 1], blends a negative spread and the custom grid's hits and
-    # misses are compared as well as its errors.
+    # Every other matrix has one common spread; the rest mix crisp entries
+    # with several spreads.
     spreads = rng.choice(((0, 0, 0.1, 0.25, 0.5), (0.2,)))
     return PayoffMatrix.of([
         [(center(rng), rng.choice(spreads)) for _ in range(cols)] for _ in range(rows)
@@ -82,21 +89,6 @@ CENTERS = {
 }
 
 
-def _outcome(fn, *args):
-    # A grid point outside [0, 1] may blend a negative spread, which the
-    # reference refuses with a ValueError; the error is part of the contract.
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
-def _kind(outcome):
-    if outcome is None:
-        return "miss"
-    return "error" if outcome[0] is ValueError else "hit"
-
-
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 @pytest.mark.parametrize("center", CENTERS.values(), ids=CENTERS.keys())
 def test_matches_grid_scan(grid, center):
@@ -105,16 +97,15 @@ def test_matches_grid_scan(grid, center):
     for _ in range(15):
         pm = _random_matrix(rng, rng.randint(3, 5), rng.randint(3, 5), center)
         for p, q, s in itertools.permutations(range(pm.rows), 3):
-            want = _outcome(reference_convex_row, pm, p, q, s, grid)
-            assert _outcome(convex_row_dominates, pm, p, q, s, grid) == want, (pm, p, q, s)
-            kinds[_kind(want)] += 1
+            want = reference_convex_row(pm, p, q, s, grid)
+            assert convex_row_dominates(pm, p, q, s, grid) == want, (pm, p, q, s)
+            kinds["miss" if want is None else "hit"] += 1
         for p, q, s in itertools.permutations(range(pm.cols), 3):
-            want = _outcome(reference_convex_col, pm, p, q, s, grid)
-            assert _outcome(convex_col_dominates, pm, p, q, s, grid) == want, (pm, p, q, s)
-            kinds[_kind(want)] += 1
+            want = reference_convex_col(pm, p, q, s, grid)
+            assert convex_col_dominates(pm, p, q, s, grid) == want, (pm, p, q, s)
+            kinds["miss" if want is None else "hit"] += 1
     # Hits and misses must both occur for the comparison to mean anything.
     assert kinds["hit"] > 0 and kinds["miss"] > 0
-    assert (kinds["error"] > 0) == any(not 0 <= beta <= 1 for beta in grid)
 
 
 def test_boundary_coefficient_is_found():
@@ -135,16 +126,35 @@ def test_equal_rows_with_higher_third_row_is_rejected_early():
 
 def test_unconstrained_interval_takes_first_grid_point():
     pm = PayoffMatrix.of([[(1, 0.1)] * 2, [(1, 0.2)] * 2, [(1, 0.3)] * 2])
-    beta, _ = convex_row_dominates(pm, 1, 0, 2, (7, 0.5))
-    assert beta == 7
+    beta, _ = convex_row_dominates(pm, 1, 0, 2, (1, 0.5))
+    assert beta == 1
 
 
 def test_grid_point_blending_a_negative_spread_still_raises():
-    # Rows 0 and 1 admit no blend, yet the coefficient -1 must still be
-    # refused the way it always was: its blend of spreads is below zero.
+    # Rows 0 and 1 admit no blend; an out-of-order grid inside [0, 1] finds
+    # none, and the coefficient -1, whose blend of spreads would be below
+    # zero, is refused before any blend is tried.
     pm = PayoffMatrix.of([[(0, 0.1)], [(0, 0.3)], [(5, 0.1)]])
-    with pytest.raises(ValueError, match="spread must be nonnegative"):
+    assert convex_row_dominates(pm, 1, 0, 2, (1, 0.5, 0)) is None
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -1"):
         convex_row_dominates(pm, 1, 0, 2, (0.5, -1))
+
+
+def test_coefficients_outside_unit_interval_are_refused():
+    # 1.5*A1 - 0.5*A4 is no mixed strategy, so deleting a row by it is unsound:
+    # a grid holding 1.5 once reduced this game to the value 1/4.
+    pm = PayoffMatrix.of([
+        [(c, 0) for c in row] for row in ([-1, 2, 2], [0, 1, -4], [4, -5, -3], [-5, 3, 2])
+    ])
+    assert oracle_value(CenterGame.from_payoff(pm)).value == Fraction(17, 64)
+    for grid in ((0.5, 1.5), (-0.5,), (0.5, float("nan"))):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PipelineConfig(betas=grid)
+        for dominates in (convex_row_dominates, convex_col_dominates):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                dominates(pm, 0, 1, 2, grid)
+    with pytest.raises(NotReducibleError):
+        solve_pipeline(pm, PipelineConfig(betas=(0.5, 1)))
 
 
 def test_exact_centers_built_only_by_convex_tests(dominance_3x3, convex_3x3):

@@ -1,5 +1,7 @@
 """Saddle detection, dominance ops, 2x2 solve, sub-games, and the pipeline."""
 
+import collections
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -458,9 +460,67 @@ class TestSolutionInvariants:
                     solve_pipeline(swapped)
                 continue
             dual = solve_pipeline(swapped)
-            assert float(F(dual.value.center) + F(sol.value.center)) == pytest.approx(
-                0, abs=1e-9
-            )
+            assert F(dual.value.center) == -F(sol.value.center)
             assert dual.x == sol.y and dual.y == sol.x
             compared += 1
         assert compared > 60
+
+
+def negated_transpose(pm):
+    """The column player's game, built entry by entry: -A transposed, labels swapped."""
+    return PayoffMatrix.of(
+        [[(-pm.entry(i, j).center, pm.entry(i, j).spread) for i in range(pm.rows)]
+         for j in range(pm.cols)],
+        row_labels=pm.col_labels,
+        col_labels=pm.row_labels,
+    )
+
+
+DUALITY_CENTERS = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "tenths": lambda rng: rng.randint(-30, 30) / 10,
+    "float": lambda rng: rng.uniform(-3, 3),
+}
+
+
+class TestColumnPlayerIsRowPlayerOfDual:
+    """Column tests on A equal row tests on -A transposed, evidence by repr."""
+
+    @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+    @pytest.mark.parametrize("center", DUALITY_CENTERS.values(), ids=DUALITY_CENTERS.keys())
+    def test_dominance_tests_agree(self, center, crisp):
+        rng = random.Random(31415)
+        hits = collections.Counter()
+        for _ in range(60):
+            m, n = rng.randint(2, 4), rng.randint(3, 4)
+            pm = PayoffMatrix.of([
+                [(center(rng), 0 if crisp else rng.choice((0, 0.1, 0.25))) for _ in range(n)]
+                for _ in range(m)
+            ])
+            dual = negated_transpose(pm)
+            for threshold in (0.0, 0.5):
+                for j, s in itertools.permutations(range(n), 2):
+                    got = col_dominates(pm, j, s, threshold)
+                    assert repr(got) == repr(row_dominates(dual, j, s, threshold))
+                    hits["plain"] += got is not None
+            for grid in (beta_grid(), beta_grid(3)):
+                for p, q, s in itertools.permutations(range(n), 3):
+                    got = convex_col_dominates(pm, p, q, s, grid)
+                    assert repr(got) == repr(convex_row_dominates(dual, p, q, s, grid))
+                    hits["convex"] += got is not None
+        assert hits["plain"] > 0 and hits["convex"] > 0
+
+    def test_convex_column_evidence_keeps_the_sign_of_zero(self):
+        # The blend of B1 and B2 is 0 in the first row, against a center of
+        # -0.0 in B3: the index there is -0.0, read on this game's columns.
+        # On the dual the center would be 0.0 and the index 0.0.
+        pm = PayoffMatrix.of([[(1, 0.1), (-1, 0.1), (-0.0, 0.1)], [(0, 0.1), (0, 0.1), (5, 0.1)]])
+        alpha, evidence = convex_col_dominates(pm, 0, 1, 2, (0.5,))
+        assert alpha == 0.5
+        assert math.copysign(1, evidence[0]) == -1 and evidence[0] == 0
+
+    def test_payoff_matrix_dual_is_the_negated_transpose(self, simulation_3x4):
+        dual = simulation_3x4.dual
+        assert dual == negated_transpose(simulation_3x4)
+        assert dual is simulation_3x4.dual
+        assert dual.dual == simulation_3x4
