@@ -191,29 +191,35 @@ def parse_matrix(text: str) -> PayoffMatrix:
         if len(row) != n:
             raise RaggedRowsError(f"row {i + 1} has {len(row)} entries, expected {n}")
 
+    # json.loads gives exact list, int, float and bool objects, never a
+    # subclass, so exact type tests suffice and keep true/false out.
     grid = []
     for i, row in enumerate(raw):
         cells = []
         for j, cell in enumerate(row):
-            where = f"entries[{i + 1}][{j + 1}]"
             if (
-                not isinstance(cell, list)
+                type(cell) is not list
                 or len(cell) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in cell)
+                or type(cell[0]) not in (int, float)
+                or type(cell[1]) not in (int, float)
             ):
-                raise MatrixSyntaxError(f"{where}: expected a [center, spread] pair")
+                raise MatrixSyntaxError(f"{_where(i, j)}: expected a [center, spread] pair")
             center, spread = cell
             if spread < 0:
-                raise NegativeSpreadError(f"{where}: spread {spread} is negative")
+                raise NegativeSpreadError(f"{_where(i, j)}: spread {spread} is negative")
             try:
                 cells.append(FuzzyNum(center, spread))
             except ValueError as exc:
-                raise NonFiniteNumberError(f"{where}: {exc}") from None
+                raise NonFiniteNumberError(f"{_where(i, j)}: {exc}") from None
         grid.append(tuple(cells))
 
     row_labels = _parse_labels(doc.get("rows"), len(grid), "rows") or default_row_labels(len(grid))
     col_labels = _parse_labels(doc.get("cols"), n, "cols") or default_col_labels(n)
     return PayoffMatrix(tuple(grid), row_labels, col_labels)
+
+
+def _where(i: int, j: int) -> str:
+    return f"entries[{i + 1}][{j + 1}]"
 
 
 def _parse_labels(raw: object, expected: int, key: str) -> tuple[str, ...] | None:
@@ -255,8 +261,9 @@ def submatrix(
         raise SelectionError(f"row selection {rows} out of range for {pm.rows} rows")
     if cols[0] < 0 or cols[-1] >= pm.cols:
         raise SelectionError(f"column selection {cols} out of range for {pm.cols} columns")
+    entries = pm.entries
     return PayoffMatrix(
-        tuple(tuple(pm.entries[i][j] for j in cols) for i in rows),
-        tuple(pm.row_labels[i] for i in rows),
-        tuple(pm.col_labels[j] for j in cols),
+        tuple([tuple([entries[i][j] for j in cols]) for i in rows]),
+        tuple([pm.row_labels[i] for i in rows]),
+        tuple([pm.col_labels[j] for j in cols]),
     )

@@ -28,7 +28,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .fuzzy import Attitude, Choice, FuzzyNum, di_fuzzy, prefer_min
+from .fuzzy import Attitude, Choice, FuzzyNum, prefer_min
+# Unused here (_entry_di computes its expression straight off the entries),
+# but perfbench/spans.py traces the dominance index at solver.di_fuzzy.
+from .fuzzy import di_fuzzy  # noqa: F401
 from .matrix import Axis, PayoffMatrix, StrategyIndex, submatrix
 
 
@@ -161,17 +164,22 @@ class PipelineConfig:
     convention: SpreadConvention = SpreadConvention.EXPECTED
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # NaN included
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
         _check_coefficients(self.betas)
 
 
 def _entry_di(a: FuzzyNum, b: FuzzyNum) -> float:
-    """Dominance index of entry ``a`` over entry ``b``; +/-inf for crisp pairs."""
-    if a.spread + b.spread == 0:
+    """Dominance index of entry ``a`` over entry ``b``; +/-inf for crisp pairs.
+
+    This is ``di_fuzzy`` on the two LR triples, operand for operand, read
+    straight off the entries.
+    """
+    width = a.spread + b.spread
+    if width == 0:
         diff = b.center - a.center
         return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
-    return float(di_fuzzy(a.as_lr_triple(), b.as_lr_triple()))
+    return float((b.center - a.center) / width)
 
 
 def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
@@ -664,11 +672,12 @@ def _guarantees(
 
 
 def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
-    expected = sum(
-        solution.x[i] * solution.y[j] * Fraction(pm.entry(i, j).center)
-        for i in range(pm.rows)
-        for j in range(pm.cols)
-    )
+    # A strategy played with probability 0 adds an exact 0, so summing over
+    # the supports (at most 2x2 after dominance) gives the full sum.
+    rows = [(i, p) for i, p in enumerate(solution.x) if p]
+    cols = [(j, q) for j, q in enumerate(solution.y) if q]
+    entries = pm.entries
+    expected = sum(p * q * Fraction(entries[i][j].center) for i, p in rows for j, q in cols)
     if expected != Fraction(solution.value.center):
         raise RuntimeError(
             "internal consistency: expected payoff does not match the value center"

@@ -273,6 +273,14 @@ class TestInputErrors:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["solve", "reduce", "check"])
+    def test_nan_threshold_exits_1(self, write_game, simulation_3x4, capsys, command):
+        code = main([command, write_game(simulation_3x4), "--threshold", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: threshold must be nonnegative, got nan\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "reduce", "check"])
     def test_beta_steps_over_cap_exits_1(self, write_game, simulation_3x4, capsys, command):
         code = main([command, write_game(simulation_3x4), "--beta-steps", str(MAX_BETA_STEPS + 1)])
         captured = capsys.readouterr()

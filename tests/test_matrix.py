@@ -76,11 +76,29 @@ class TestParse:
         with pytest.raises(MatrixSyntaxError, match=r"line 2"):
             parse_matrix('{"entries":\n [[1, 0],]}')
 
-    def test_entry_must_be_a_pair(self):
-        with pytest.raises(MatrixSyntaxError, match=r"entries\[1\]\[1\]"):
-            parse_matrix('{"entries": [[[1, 0, 3]]]}')
-        with pytest.raises(MatrixSyntaxError):
-            parse_matrix('{"entries": [[[1, "x"]]]}')
+    @pytest.mark.parametrize(
+        "cell, i, j",
+        [
+            pytest.param("true", 1, 2, id="boolean"),
+            pytest.param("null", 2, 1, id="null"),
+            pytest.param('"1"', 2, 2, id="string"),
+            pytest.param("1", 1, 2, id="number"),
+            pytest.param("[1]", 2, 1, id="one-item"),
+            pytest.param("[1, 2, 3]", 1, 1, id="three-items"),
+            pytest.param("[[1], 0]", 2, 2, id="nested-center"),
+            pytest.param('{"c": 1}', 1, 1, id="object"),
+            pytest.param("[true, 0]", 1, 2, id="boolean-center"),
+            pytest.param("[0, false]", 2, 1, id="boolean-spread"),
+            pytest.param('[1, "x"]', 2, 2, id="string-spread"),
+        ],
+    )
+    def test_entry_must_be_a_pair(self, cell, i, j):
+        grid = [["[1, 0.5]", "[2, 0]"], ["[3, 0.1]", "[4, 0]"]]
+        grid[i - 1][j - 1] = cell
+        text = '{"entries": [' + ", ".join("[" + ", ".join(row) + "]" for row in grid) + "]}"
+        with pytest.raises(MatrixSyntaxError) as info:
+            parse_matrix(text)
+        assert str(info.value) == f"entries[{i}][{j}]: expected a [center, spread] pair"
 
     def test_wrong_label_count(self):
         with pytest.raises(MatrixSyntaxError, match="expected 1"):

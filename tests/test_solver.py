@@ -370,6 +370,13 @@ class TestSolvePipeline:
         assert F(sol.value.center) == F(245, 16)
 
 
+class TestPipelineConfig:
+    def test_nan_threshold_is_refused(self):
+        # NaN passes a "< 0" test and then acts as weak dominance.
+        with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+            PipelineConfig(threshold=math.nan)
+
+
 class TestExactInvariants:
     def test_probabilities_must_sum_to_exactly_one(self):
         # Off by 1e-15: a float tolerance of 1e-12 used to let this through.
