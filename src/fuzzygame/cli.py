@@ -8,9 +8,9 @@ Subcommands::
     fuzzygame validate GAME.json   check a matrix document
     fuzzygame check GAME.json      solve and verify against the exact center-game oracle
 
-Exit codes: 0 success, 1 input error (or a failed check), 2 not reducible by
-the dominance method.  In machine mode diagnostics go to stderr and stdout
-carries a single JSON document.
+Exit codes: 0 success, 1 input or usage error (or a failed check), 2 not
+reducible by the dominance method.  In machine mode diagnostics go to stderr
+and stdout carries a single JSON document.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank
 from .matrix import Axis, MatrixError, PayoffMatrix, parse_matrix, serialize_matrix
@@ -88,14 +89,18 @@ def _config_doc(args: argparse.Namespace) -> dict:
     }
 
 
+def _deleted_label(step: ReductionStep, pm: PayoffMatrix) -> str:
+    labels = pm.row_labels if step.deleted.axis is Axis.ROW else pm.col_labels
+    return labels[step.deleted.index]
+
+
 def _step_doc(step: ReductionStep, pm: PayoffMatrix) -> dict:
     deleted = None
     if step.deleted is not None:
-        labels = pm.row_labels if step.deleted.axis is Axis.ROW else pm.col_labels
         deleted = {
             "axis": step.deleted.axis.value,
             "index": step.deleted.index,
-            "label": labels[step.deleted.index],
+            "label": _deleted_label(step, pm),
         }
     return {
         "kind": step.kind.value,
@@ -123,15 +128,14 @@ def _solution_doc(solution: Solution, pm: PayoffMatrix, args: argparse.Namespace
     }
 
 
-def _render_trace(steps, pm: PayoffMatrix, out) -> None:
-    print("trace:", file=out)
+def _render_trace(steps, pm: PayoffMatrix) -> None:
+    print("trace:")
     if not steps:
-        print("  (empty)", file=out)
+        print("  (empty)")
     for k, step in enumerate(steps, start=1):
         line = f"  {k}. {step.kind.value}"
         if step.deleted is not None:
-            labels = pm.row_labels if step.deleted.axis is Axis.ROW else pm.col_labels
-            line += f": deleted {labels[step.deleted.index]}"
+            line += f": deleted {_deleted_label(step, pm)}"
             line += f" (dominated by {step.dominator})"
             line += "; DI = [" + ", ".join(f"{d:g}" for d in step.evidence) + "]"
         else:
@@ -139,24 +143,19 @@ def _render_trace(steps, pm: PayoffMatrix, out) -> None:
             if step.kind is StepKind.SUBGAME_SELECTION:
                 line += ("; candidate centers = ["
                          + ", ".join(f"{d:g}" for d in step.evidence) + "]")
-        print(line, file=out)
+        print(line)
 
 
 def _render_solution(solution: Solution, pm: PayoffMatrix, show_trace: bool) -> None:
     print(f"kind: {solution.kind.value}")
-    xs = " ".join(
-        f"{label}={_prob_str(p)}" for label, p in zip(pm.row_labels, solution.x)
-    )
-    ys = " ".join(
-        f"{label}={_prob_str(p)}" for label, p in zip(pm.col_labels, solution.y)
-    )
-    print(f"x: {xs}")
-    print(f"y: {ys}")
+    mixes = (("x", pm.row_labels, solution.x), ("y", pm.col_labels, solution.y))
+    for name, labels, mix in mixes:
+        print(f"{name}: " + " ".join(f"{label}={_prob_str(p)}" for label, p in zip(labels, mix)))
     center, spread = solution.value.center, solution.value.spread
     print(f"value: <{frac_str(center)}, {frac_str(spread)}>"
           f" = <{float(center)}, {float(spread)}>")
     if show_trace:
-        _render_trace(solution.trace, pm, sys.stdout)
+        _render_trace(solution.trace, pm)
 
 
 def _load_matrix(path: str) -> PayoffMatrix:
@@ -165,17 +164,31 @@ def _load_matrix(path: str) -> PayoffMatrix:
             text = fh.read()
     except OSError as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixError(str(exc)) from exc
     return parse_matrix(text)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _read_game(args: argparse.Namespace) -> tuple[PayoffMatrix]:
+    return (_load_matrix(args.input),)
+
+
+def _read_pipeline(args: argparse.Namespace) -> tuple[PayoffMatrix, PipelineConfig]:
+    return _load_matrix(args.input), _config_from_args(args)
+
+
+def _read_check(args: argparse.Namespace) -> tuple[PayoffMatrix, PipelineConfig]:
+    pm, config = _read_pipeline(args)
+    check_size(pm.rows, pm.cols)  # before solving, which costs more the larger the game
+    return pm, config
+
+
+def _read_numbers(args: argparse.Namespace) -> tuple[FuzzyNum, FuzzyNum]:
+    return _parse_fuzzy_arg(args.a), _parse_fuzzy_arg(args.b)
+
+
+def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     machine = args.format == "machine"
-    try:
-        pm = _load_matrix(args.input)
-        config = _config_from_args(args)
-    except (MatrixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError as exc:
@@ -201,16 +214,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    machine = args.format == "machine"
-    try:
-        pm = _load_matrix(args.input)
-        config = _config_from_args(args)
-    except (MatrixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     result = reduce_dominance(pm, config)
-    if machine:
+    if args.format == "machine":
         doc = {
             "matrix": json.loads(serialize_matrix(result.residual)),
             "trace": [_step_doc(s, pm) for s in result.trace],
@@ -220,17 +226,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     else:
         print(serialize_matrix(result.residual), end="")
         if args.trace:
-            _render_trace(result.trace, pm, sys.stdout)
+            _render_trace(result.trace, pm)
     return EXIT_OK
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    try:
-        a = _parse_fuzzy_arg(args.a)
-        b = _parse_fuzzy_arg(args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_rank(args: argparse.Namespace, a: FuzzyNum, b: FuzzyNum) -> int:
     attitude = Attitude(args.attitude)
     ranking = rank(a.as_lr_triple(), b.as_lr_triple())
     if a.is_crisp and b.is_crisp:
@@ -244,12 +244,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        pm = _load_matrix(args.input)
-    except MatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_validate(args: argparse.Namespace, pm: PayoffMatrix) -> int:
     print(f"{pm.rows}x{pm.cols} matrix")
     print(f"rows: {', '.join(pm.row_labels)}")
     print(f"cols: {', '.join(pm.col_labels)}")
@@ -274,14 +269,7 @@ def _render_report(report: OracleReport) -> None:
           f" (best row payoff {float(report.y_ceiling)})")
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        pm = _load_matrix(args.input)
-        config = _config_from_args(args)
-        check_size(pm.rows, pm.cols)  # before solving, which costs more the larger the game
-    except (MatrixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_check(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError:
@@ -294,62 +282,70 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
-def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threshold", type=float, default=0.0,
-                     help="minimum dominance index required for deletions (default 0: weak dominance)")
-    sub.add_argument("--beta-steps", type=int, default=21,
-                     help="grid size for convex-combination coefficients (default 21)")
-    sub.add_argument("--attitude", choices=[a.value for a in Attitude],
-                     default=Attitude.PESSIMISTIC.value,
-                     help="tie-break attitude for equal centers (default pessimistic)")
-    sub.add_argument("--spread-convention", choices=[c.value for c in SpreadConvention],
-                     default=SpreadConvention.EXPECTED.value,
-                     help="how the value spread is derived (default expected)")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as every other input error does."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _add_game_command(commands, name, help, read, func, *, pipeline=False, output=False):
+    """A subcommand on one matrix document; each shared option is declared only here."""
+    sub = commands.add_parser(name, help=help)
+    sub.add_argument("input", help="matrix document (JSON)")
+    if pipeline:
+        sub.add_argument("--threshold", type=float, default=0.0,
+                         help="minimum dominance index required for deletions"
+                              " (default 0: weak dominance)")
+        sub.add_argument("--beta-steps", type=int, default=21,
+                         help="grid size for convex-combination coefficients (default 21)")
+        sub.add_argument("--attitude", choices=[a.value for a in Attitude],
+                         default=Attitude.PESSIMISTIC.value,
+                         help="tie-break attitude for equal centers (default pessimistic)")
+        sub.add_argument("--spread-convention", choices=[c.value for c in SpreadConvention],
+                         default=SpreadConvention.EXPECTED.value,
+                         help="how the value spread is derived (default expected)")
+    if output:
+        sub.add_argument("--format", choices=["table", "machine"], default="table")
+        sub.add_argument("--trace", action="store_true", help="show every reduction step")
+    sub.set_defaults(read=read, func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzygame",
         description="Solve two-person zero-sum games with symmetric trapezoidal fuzzy payoffs.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    solve = commands.add_parser("solve", help="solve a game end to end")
-    solve.add_argument("input", help="matrix document (JSON)")
-    _add_pipeline_options(solve)
-    solve.add_argument("--format", choices=["table", "machine"], default="table")
-    solve.add_argument("--trace", action="store_true", help="show every reduction step")
-    solve.set_defaults(func=cmd_solve)
-
-    reduce_ = commands.add_parser("reduce", help="apply dominance deletions only")
-    reduce_.add_argument("input", help="matrix document (JSON)")
-    _add_pipeline_options(reduce_)
-    reduce_.add_argument("--format", choices=["table", "machine"], default="table")
-    reduce_.add_argument("--trace", action="store_true")
-    reduce_.set_defaults(func=cmd_reduce)
+    _add_game_command(commands, "solve", "solve a game end to end",
+                      _read_pipeline, cmd_solve, pipeline=True, output=True)
+    _add_game_command(commands, "reduce", "apply dominance deletions only",
+                      _read_pipeline, cmd_reduce, pipeline=True, output=True)
 
     rank_ = commands.add_parser("rank", help="rank two fuzzy numbers")
     rank_.add_argument("a", help="first number as center,spread (e.g. 0.3,0.5)")
     rank_.add_argument("b", help="second number as center,spread")
     rank_.add_argument("--attitude", choices=[a.value for a in Attitude],
                        default=Attitude.PESSIMISTIC.value)
-    rank_.set_defaults(func=cmd_rank)
+    rank_.set_defaults(read=_read_numbers, func=cmd_rank)
 
-    validate = commands.add_parser("validate", help="validate a matrix document")
-    validate.add_argument("input")
-    validate.set_defaults(func=cmd_validate)
-
-    check = commands.add_parser("check", help="solve and verify against the exact oracle")
-    check.add_argument("input")
-    _add_pipeline_options(check)
-    check.set_defaults(func=cmd_check)
-
+    _add_game_command(commands, "validate", "validate a matrix document", _read_game, cmd_validate)
+    _add_game_command(commands, "check", "solve and verify against the exact oracle",
+                      _read_check, cmd_check, pipeline=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The only input handler.  The subcommand's reader loads and checks every
+    # input its command takes, so a failure after it is a fault of the program.
+    try:
+        inputs = args.read(args)
+    except ValueError as exc:  # MatrixError, a bad option, a game above the oracle cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return args.func(args, *inputs)
 
 
 if __name__ == "__main__":

@@ -165,13 +165,17 @@ class PayoffMatrix:
 
 
 def parse_matrix(text: str) -> PayoffMatrix:
-    """Parse a matrix document, reporting the position of whatever is wrong."""
+    """Parse a matrix document; every failure is a MatrixError saying what is wrong where."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise MatrixSyntaxError("document is nested too deeply to parse") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise MatrixSyntaxError(str(exc)) from None
 
     if not isinstance(doc, dict):
         raise MatrixSyntaxError("top level must be an object with an 'entries' key")

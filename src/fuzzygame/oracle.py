@@ -144,10 +144,16 @@ def _optimal(
     """Both mixes are probability vectors and guarantee ``value`` exactly."""
     if sum(x) != 1 or sum(y) != 1 or min(x) < 0 or min(y) < 0:
         return False
+    floor, ceiling = _floor_ceiling(g, x, y)
+    return floor >= value >= ceiling
+
+
+def _floor_ceiling(g, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """The worst column payoff under ``x`` and the best row payoff under ``y``."""
     m, n = len(g), len(g[0])
-    floor_ok = all(sum(x[i] * g[i][j] for i in range(m)) >= value for j in range(n))
-    ceil_ok = all(sum(g[i][j] * y[j] for j in range(n)) <= value for i in range(m))
-    return floor_ok and ceil_ok
+    floor = min(sum(x[i] * g[i][j] for i in range(m)) for j in range(n))
+    ceiling = max(sum(g[i][j] * y[j] for j in range(n)) for i in range(m))
+    return floor, ceiling
 
 
 @dataclass(frozen=True)
@@ -167,28 +173,24 @@ class OracleReport:
         return self.value_match and self.x_guarantee and self.y_guarantee
 
 
-def oracle_check(pm: PayoffMatrix, solution: Solution, tol: float = 0) -> OracleReport:
+def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
     """Validate a solution's value center and both guarantee inequalities.
 
     The solution's x must earn at least the oracle value against every
     column of the original matrix, and its y must concede at most the oracle
-    value against every row.  Everything is exact, so the default ``tol``
-    of 0 demands exact agreement; a positive ``tol`` loosens all three tests.
+    value against every row.  Everything is exact, so all three tests demand
+    exact agreement.
     """
     game = CenterGame.from_payoff(pm)
     oracle = oracle_value(game)
-    g = game.grid
-    m, n = game.rows, game.cols
-    x_floor = min(sum(solution.x[i] * g[i][j] for i in range(m)) for j in range(n))
-    y_ceiling = max(sum(g[i][j] * solution.y[j] for j in range(n)) for i in range(m))
+    x_floor, y_ceiling = _floor_ceiling(game.grid, solution.x, solution.y)
     solution_center = Fraction(solution.value.center)
-    tol_f = Fraction(tol)
     return OracleReport(
         oracle_center=oracle.value,
         solution_center=solution_center,
         x_floor=x_floor,
         y_ceiling=y_ceiling,
-        value_match=abs(solution_center - oracle.value) <= tol_f,
-        x_guarantee=x_floor >= oracle.value - tol_f,
-        y_guarantee=y_ceiling <= oracle.value + tol_f,
+        value_match=solution_center == oracle.value,
+        x_guarantee=x_floor >= oracle.value,
+        y_guarantee=y_ceiling <= oracle.value,
     )

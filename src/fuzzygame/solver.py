@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .fuzzy import Attitude, Choice, FuzzyNum, prefer_min
+from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min
 # Unused here (_entry_di computes its expression straight off the entries),
 # but perfbench/spans.py traces the dominance index at solver.di_fuzzy.
 from .fuzzy import di_fuzzy  # noqa: F401
@@ -257,7 +257,8 @@ def _covers(
 
     One strict gap on centers is needed, or ``tie_ok`` for an exact
     duplicate; a positive ``threshold`` must be reached by every entry's
-    dominance index.
+    dominance index, and a NaN index (entries near the float maximum
+    overflow it) never reaches it.
     """
     strict = False
     for top, low in zip(hi, lo):
@@ -268,7 +269,7 @@ def _covers(
     if not (strict or tie_ok):
         return None
     evidence = _evidence(lo, hi)
-    if threshold > 0 and any(di < threshold for di in evidence):
+    if threshold > 0 and any(not di >= threshold for di in evidence):
         return None
     return evidence
 
@@ -495,17 +496,13 @@ def enumerate_subgames(
         sub = submatrix(pm, *keep)
         candidates.append(SubgameCandidate(pair, solve_2x2(sub, convention, attitude)))
 
+    prefer = prefer_min if minimize else prefer_max
     best = candidates[0]
     for cand in candidates[1:]:
-        if _value_beats(cand.solution.value, best.solution.value, minimize):
+        # Pessimistic: equal centers go to the smaller spread, exact ties to the earlier pair.
+        if prefer(best.solution.value, cand.solution.value) is Choice.B:
             best = cand
     return SubgameEnumeration(axis, best.pair, tuple(candidates))
-
-
-def _value_beats(new: FuzzyNum, old: FuzzyNum, minimize: bool) -> bool:
-    if new.center != old.center:
-        return new.center < old.center if minimize else new.center > old.center
-    return new.spread < old.spread  # pessimistic tie-break; equal keeps the earlier pair
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,16 @@ class TestReduce:
         assert parse_matrix(out.split("trace:")[0]).centers() == ((1, 7), (6, 2))
         assert "(empty)" in out
 
+    def test_nan_index_does_not_pass_a_threshold(self, write_game, capsys):
+        # A1's index over A2 overflows to nan in the first column; exactly it is about 0.529.
+        text = ('{"entries": [[[1.7e308, 1.7e308], [5, 0.1]], [[-0.1e308, 1.7e308], [1, 0.1]],'
+                ' [[0, 0.1], [3, 0.1]]]}')
+        code = main(["reduce", write_game(text), "--threshold", "0.6", "--trace"])
+        residual, trace = capsys.readouterr().out.split("trace:")
+        assert code == 0
+        assert parse_matrix(residual).row_labels == ("A1", "A2")
+        assert trace == "\n  1. row-dominance: deleted A3 (dominated by A1); DI = [1, 10]\n"
+
 
 class TestRank:
     def test_partial_dominance(self, capsys):
@@ -252,7 +262,77 @@ NON_FINITE_GAMES = {
 }
 
 
+UNREADABLE_DOCUMENTS = {
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "long-integer": '{"entries": [[[' + "9" * 5000 + ', 0.1]]]}',
+}
+
+
+@pytest.fixture
+def unreadable_input(tmp_path):
+    def _make(kind):
+        path = tmp_path / "game.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"\xff\xfe{")
+        else:
+            path.write_text(UNREADABLE_DOCUMENTS[kind])
+        return str(path)
+
+    return _make
+
+
+def run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(fuzzygame.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzygame.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestInputErrors:
+    @pytest.mark.parametrize("command", ["solve", "reduce", "validate", "check"])
+    @pytest.mark.parametrize("kind", [*UNREADABLE_DOCUMENTS, "not-utf-8", "directory"])
+    def test_unreadable_input_exits_1(self, unreadable_input, capsys, command, kind):
+        code = main([command, unreadable_input(kind)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_unreadable_input_prints_no_traceback(self, unreadable_input):
+        proc = run_cli("validate", unreadable_input("deep-nesting"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: document is nested too deeply to parse\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "{game}", "--threshold", "abc"], "argument --threshold: invalid float value"),
+        (["solve"], "the following arguments are required: input"),
+        (["check", "{game}", "--beta-steps", "2.5"], "argument --beta-steps: invalid int value"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-threshold", "missing-input", "bad-beta-steps", "missing-command"])
+    def test_usage_error_exits_1(self, write_game, simulation_3x4, capsys, argv, message):
+        path = write_game(simulation_3x4)
+        with pytest.raises(SystemExit) as info:
+            main([path if arg == "{game}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert info.value.code == 1
+        assert captured.err.startswith("usage: fuzzygame")
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_failure_after_reading_propagates(self, write_game, simulation_3x4, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("internal fault")
+
+        monkeypatch.setattr(fuzzygame.cli, "solve_pipeline", broken)
+        with pytest.raises(error, match="internal fault"):
+            main(["solve", write_game(simulation_3x4)])
+
     @pytest.mark.parametrize("command", ["solve", "reduce", "validate", "check"])
     @pytest.mark.parametrize("text", NON_FINITE_GAMES.values(), ids=NON_FINITE_GAMES.keys())
     def test_non_finite_number_exits_1(self, write_game, capsys, command, text):
@@ -263,12 +343,7 @@ class TestInputErrors:
         assert captured.out == ""
 
     def test_non_finite_number_prints_no_traceback(self, write_game):
-        src = os.path.dirname(os.path.dirname(fuzzygame.__file__))
-        path = write_game(NON_FINITE_GAMES["nan-center"])
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzygame.cli", "solve", path],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_cli("solve", write_game(NON_FINITE_GAMES["nan-center"]))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 

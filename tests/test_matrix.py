@@ -1,6 +1,7 @@
 """Payoff-matrix model, file format, and submatrix extraction."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from fuzzygame import (
     DuplicateLabelsError,
     EmptyMatrixError,
     FuzzyNum,
+    MatrixError,
     MatrixSyntaxError,
     NegativeSpreadError,
     NonFiniteNumberError,
@@ -107,6 +109,21 @@ class TestParse:
     def test_unknown_keys_rejected(self):
         with pytest.raises(MatrixSyntaxError, match="unknown"):
             parse_matrix('{"entries": [[[1, 0]]], "extra": 1}')
+
+    def test_deep_nesting_is_a_matrix_error(self):
+        # json.loads raises RecursionError on this; parse must not pass it on.
+        with pytest.raises(MatrixSyntaxError, match="nested too deeply"):
+            parse_matrix("[" * 200_000 + "]" * 200_000)
+
+    def test_long_integer_is_a_matrix_error(self):
+        # Pythons with the int-to-string digit limit (4300 by default) refuse
+        # the integer inside json.loads with a bare ValueError; without the
+        # limit it parses and is too large for a float.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        expected = MatrixSyntaxError if 0 < limit < 5000 else NonFiniteNumberError
+        with pytest.raises(MatrixError) as info:
+            parse_matrix('{"entries": [[[' + "9" * 5000 + ', 0.1]]]}')
+        assert type(info.value) is expected
 
 
 class TestSerialize:

@@ -152,7 +152,6 @@ class TestOracleCheck:
         )
         report = oracle_check(simulation_3x4, off)
         assert not report.value_match and not report.passed
-        assert oracle_check(simulation_3x4, off, tol=1e-9).value_match
 
     def test_saddle_game_passes(self, saddle_2x2):
         report = oracle_check(saddle_2x2, solve_pipeline(saddle_2x2))

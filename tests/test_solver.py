@@ -314,6 +314,20 @@ class TestReduceDominance:
         assert result.residual == pm
         assert result.trace == ()
 
+    def test_nan_index_does_not_pass_a_positive_threshold(self):
+        # Entries near the float maximum overflow A1's index over A2 in the
+        # first column to inf/inf = nan; its exact value is 1.8/3.4, below 0.6.
+        pm = PayoffMatrix.of([
+            [(1.7e308, 1.7e308), (5, 0.1)],
+            [(-0.1e308, 1.7e308), (1, 0.1)],
+            [(0, 0.1), (3, 0.1)],
+        ])
+        assert math.isnan(row_dominates(pm, 0, 1)[0])
+        assert row_dominates(pm, 0, 1, threshold=0.6) is None
+        result = reduce_dominance(pm, PipelineConfig(threshold=0.6))
+        assert [s.deleted for s in result.trace] == [StrategyIndex(Axis.ROW, 2)]
+        assert result.residual.row_labels == ("A1", "A2")
+
 
 class TestSolvePipeline:
     def test_simulation_end_to_end(self, simulation_3x4):
