@@ -6,7 +6,8 @@ fuzzy quantities are ordered through a dominance index: the peak difference
 scaled by the facing spreads.  An index of at least 1 is total dominance,
 anything in (0, 1) is partial dominance, and 0 leaves the pair
 non-comparable, where the decision maker's attitude (pessimistic or
-optimistic) breaks the tie on spread.
+optimistic) breaks the tie on spread.  :func:`dominance_index` is the one
+place the index is computed; it stays exact where floats overflow.
 
 All types are immutable values and every operation is pure.
 """
@@ -17,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 
 # Largest magnitude a center or spread may take.  Every value must survive
@@ -78,6 +80,34 @@ def interval_add(i: Interval, j: Interval) -> Interval:
     return Interval(i.lo + j.lo, i.hi + j.hi)
 
 
+def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread: float) -> float:
+    """``(hi_peak - lo_peak) / (lo_spread + hi_spread)`` over the facing spreads, as a float.
+
+    A crisp pair (both spreads zero) gives +/-inf, or 0.0 for equal peaks.
+    A quotient that is not finite, or 0 for unequal peaks, becomes the rounded
+    exact ``Fraction`` quotient, +/-inf past the float range; finite operands never give NaN.
+    """
+    width = lo_spread + hi_spread
+    gap = hi_peak - lo_peak
+    if width != 0:
+        try:
+            di = float(gap / width)
+        except OverflowError:  # an int or Fraction quotient beyond the float range
+            di = math.nan
+        if di - di == 0.0 and (di or hi_peak == lo_peak):
+            return di
+        try:
+            exact = Fraction(hi_peak) - Fraction(lo_peak)
+            exact /= Fraction(lo_spread) + Fraction(hi_spread)
+        except (OverflowError, ValueError):  # an infinite or NaN operand has no exact value
+            return di
+        try:
+            return float(exact)
+        except OverflowError:  # past the float range: infinite, as for a crisp pair
+            pass
+    return math.inf if gap > 0 else (-math.inf if gap < 0 else 0.0)
+
+
 def di_interval(i: Interval, j: Interval) -> float:
     """Dominance index of ``i`` over ``j``: positive means ``i`` sits lower.
 
@@ -85,12 +115,11 @@ def di_interval(i: Interval, j: Interval) -> float:
     Antisymmetric in its arguments.  Undefined when both intervals are
     degenerate points.
     """
-    width = i.halfwidth + j.halfwidth
-    if width == 0:
+    if i.halfwidth + j.halfwidth == 0:
         raise DegenerateComparisonError(
             "both intervals are points; compare their midpoints directly"
         )
-    return (j.midpoint - i.midpoint) / width
+    return dominance_index(i.midpoint, i.halfwidth, j.midpoint, j.halfwidth)
 
 
 @dataclass(frozen=True)
@@ -188,12 +217,11 @@ def di_fuzzy(a: LRTriple, b: LRTriple) -> float:
     smaller number, i.e. preferred in the sense of minimization; at least 1
     is total dominance.  Undefined when the facing spreads are both zero.
     """
-    denom = a.right + b.left
-    if denom == 0:
+    if a.right + b.left == 0:
         raise DegenerateComparisonError(
             "facing spreads are both zero; compare the peaks directly"
         )
-    return (b.peak - a.peak) / denom
+    return dominance_index(a.peak, a.right, b.peak, b.left)
 
 
 @dataclass(frozen=True)
@@ -226,11 +254,7 @@ def rank(a: LRTriple, b: LRTriple) -> Ranking:
     direct peak comparison: the index degenerates to +/-infinity (total
     dominance) or 0 (non-comparable equals).
     """
-    if a.right + b.left == 0:
-        diff = b.peak - a.peak
-        di = math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
-    else:
-        di = di_fuzzy(a, b)
+    di = dominance_index(a.peak, a.right, b.peak, b.left)
     return Ranking(_classify(di), di)
 
 
@@ -241,22 +265,19 @@ def prefer_min(a: FuzzyNum, b: FuzzyNum, attitude: Attitude = Attitude.PESSIMIST
     attitude: pessimistic takes the smaller spread, optimistic the larger.
     Exact ties go to the first argument.
     """
-    if a.center != b.center:
-        return Choice.A if a.center < b.center else Choice.B
-    return _prefer_spread(a, b, attitude)
+    return _prefer(a, b, a.center < b.center, attitude)
 
 
 def prefer_max(a: FuzzyNum, b: FuzzyNum, attitude: Attitude = Attitude.PESSIMISTIC) -> Choice:
     """Mirror of :func:`prefer_min` for a maximizer; same spread policy."""
-    if a.center != b.center:
-        return Choice.A if a.center > b.center else Choice.B
-    return _prefer_spread(a, b, attitude)
+    return _prefer(a, b, a.center > b.center, attitude)
 
 
-def _prefer_spread(a: FuzzyNum, b: FuzzyNum, attitude: Attitude) -> Choice:
-    if a.spread == b.spread:
-        return Choice.A
-    narrower = Choice.A if a.spread < b.spread else Choice.B
-    if attitude is Attitude.PESSIMISTIC:
-        return narrower
-    return Choice.B if narrower is Choice.A else Choice.A
+def _prefer(a: FuzzyNum, b: FuzzyNum, a_wins: bool, attitude: Attitude) -> Choice:
+    # a_wins: a has the better center.  Equal centers go to the narrower
+    # support for a pessimist and to the wider one for an optimist.
+    if a.center == b.center:
+        if a.spread == b.spread:
+            return Choice.A
+        a_wins = (a.spread < b.spread) == (attitude is Attitude.PESSIMISTIC)
+    return Choice.A if a_wins else Choice.B

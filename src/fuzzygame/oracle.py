@@ -23,7 +23,7 @@ from typing import Sequence
 from .matrix import PayoffMatrix
 from .solver import Solution
 
-SIZE_CAP = 32  # a random 32x32 integer game takes about 1 s (2-core Xeon VM, Python 3.11)
+SIZE_CAP = 32  # 32x32: about 1 s on integer centers, 4 s on tenths (2-core Xeon, Python 3.11)
 
 
 class GameTooLargeError(ValueError):

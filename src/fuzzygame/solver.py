@@ -22,14 +22,13 @@ arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min
-# Unused here (_entry_di computes its expression straight off the entries),
+from .fuzzy import Attitude, Choice, FuzzyNum, dominance_index, prefer_max, prefer_min
+# Unused here (_evidence calls dominance_index on the entries' own numbers),
 # but perfbench/spans.py traces the dominance index at solver.di_fuzzy.
 from .fuzzy import di_fuzzy  # noqa: F401
 from .matrix import Axis, PayoffMatrix, StrategyIndex, submatrix
@@ -169,22 +168,9 @@ class PipelineConfig:
         _check_coefficients(self.betas)
 
 
-def _entry_di(a: FuzzyNum, b: FuzzyNum) -> float:
-    """Dominance index of entry ``a`` over entry ``b``; +/-inf for crisp pairs.
-
-    This is ``di_fuzzy`` on the two LR triples, operand for operand, read
-    straight off the entries.
-    """
-    width = a.spread + b.spread
-    if width == 0:
-        diff = b.center - a.center
-        return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
-    return float((b.center - a.center) / width)
-
-
 def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
     # Per entry, the dominance index of the lower line over the upper one.
-    return tuple(_entry_di(a, b) for a, b in zip(lo, hi))
+    return tuple(dominance_index(a.center, a.spread, b.center, b.spread) for a, b in zip(lo, hi))
 
 
 def find_saddle(
@@ -257,8 +243,7 @@ def _covers(
 
     One strict gap on centers is needed, or ``tie_ok`` for an exact
     duplicate; a positive ``threshold`` must be reached by every entry's
-    dominance index, and a NaN index (entries near the float maximum
-    overflow it) never reaches it.
+    dominance index, which is exact near the float maximum and never NaN.
     """
     strict = False
     for top, low in zip(hi, lo):
@@ -269,7 +254,7 @@ def _covers(
     if not (strict or tie_ok):
         return None
     evidence = _evidence(lo, hi)
-    if threshold > 0 and any(not di >= threshold for di in evidence):
+    if threshold > 0 and any(di < threshold for di in evidence):
         return None
     return evidence
 
@@ -379,19 +364,6 @@ def _saddle_solution(pm: PayoffMatrix, saddle: tuple[int, int, FuzzyNum]) -> Sol
     )
 
 
-def _expected_spread(
-    pm: PayoffMatrix, x: tuple[Fraction, ...], y: tuple[Fraction, ...]
-) -> Fraction:
-    return sum(
-        (
-            x[i] * y[j] * Fraction(pm.entry(i, j).spread)
-            for i in range(pm.rows)
-            for j in range(pm.cols)
-        ),
-        Fraction(0),
-    )
-
-
 def solve_2x2(
     pm: PayoffMatrix,
     convention: SpreadConvention = SpreadConvention.EXPECTED,
@@ -434,7 +406,7 @@ def solve_2x2(
     if convention is SpreadConvention.ENDPOINT:
         spread = _endpoint_spread(pm, center)
     if spread is None:
-        spread = _expected_spread(pm, x, y)
+        spread = _expected(pm, x, y, "spread")
 
     return Solution(x, y, FuzzyNum(center, spread), SolutionKind.MIXED_2X2, ())
 
@@ -668,14 +640,20 @@ def _guarantees(
     return all(sum(p * c for p, c in zip(x, col)) >= value for col in zip(*centers))
 
 
-def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
-    # A strategy played with probability 0 adds an exact 0, so summing over
+def _expected(
+    pm: PayoffMatrix, x: Sequence[Fraction], y: Sequence[Fraction], part: str
+) -> Fraction:
+    # The entries' center or spread (``part``) averaged under (x, y).  A
+    # strategy played with probability 0 adds an exact 0, so summing over
     # the supports (at most 2x2 after dominance) gives the full sum.
-    rows = [(i, p) for i, p in enumerate(solution.x) if p]
-    cols = [(j, q) for j, q in enumerate(solution.y) if q]
+    rows = [(i, p) for i, p in enumerate(x) if p]
+    cols = [(j, q) for j, q in enumerate(y) if q]
     entries = pm.entries
-    expected = sum(p * q * Fraction(entries[i][j].center) for i, p in rows for j, q in cols)
-    if expected != Fraction(solution.value.center):
+    return sum(p * q * Fraction(getattr(entries[i][j], part)) for i, p in rows for j, q in cols)
+
+
+def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
+    if _expected(pm, solution.x, solution.y, "center") != Fraction(solution.value.center):
         raise RuntimeError(
             "internal consistency: expected payoff does not match the value center"
         )

@@ -131,7 +131,7 @@ class TestReduce:
         assert "(empty)" in out
 
     def test_nan_index_does_not_pass_a_threshold(self, write_game, capsys):
-        # A1's index over A2 overflows to nan in the first column; exactly it is about 0.529.
+        # A1's index over A2 overflows floats in the first column; exactly it is 9/17, about 0.529.
         text = ('{"entries": [[[1.7e308, 1.7e308], [5, 0.1]], [[-0.1e308, 1.7e308], [1, 0.1]],'
                 ' [[0, 0.1], [3, 0.1]]]}')
         code = main(["reduce", write_game(text), "--threshold", "0.6", "--trace"])
@@ -139,6 +139,28 @@ class TestReduce:
         assert code == 0
         assert parse_matrix(residual).row_labels == ("A1", "A2")
         assert trace == "\n  1. row-dominance: deleted A3 (dominated by A1); DI = [1, 10]\n"
+
+    def test_overflowing_index_is_strict_json(self, write_game, capsys):
+        text = ('{"entries": [[[1.7e308, 1.7e308], [5, 0.1]], [[-0.1e308, 1.7e308], [1, 0.1]],'
+                ' [[0, 0.1], [3, 0.1]]]}')
+        code = main(["reduce", write_game(text), "--format", "machine"])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        first = doc["trace"][0]
+        assert first["deleted"]["label"] == "A2"
+        assert first["evidence"] == [0.5294117647058824, 20.0]
+
+    def test_int_index_beyond_float_range_prints_inf(self, write_game, capsys):
+        big = int(sys.float_info.max)
+        text = json.dumps({"entries": [[[big, 1], [5, 0]], [[-big, 0], [1, 0]], [[0, 0], [3, 0]]]})
+        code = main(["reduce", write_game(text), "--trace"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1. row-dominance: deleted A2 (dominated by A1); DI = [inf, inf]\n" in out
 
 
 class TestRank:
@@ -169,6 +191,23 @@ class TestRank:
 
     def test_bad_argument(self, capsys):
         assert main(["rank", "5", "3,0"]) == 1
+
+    def test_non_number_argument(self, capsys):
+        assert main(["rank", "abc,1", "2,3"]) == 1
+        assert capsys.readouterr().err == "error: expected two numbers in 'abc,1'\n"
+
+    @pytest.mark.parametrize(
+        "a, b, line",
+        [
+            pytest.param("1.7e308,1.7e308", "-1.7e308,1.7e308",
+                         "DI(A < B) = -1  [totally-less]", id="inf-over-inf"),
+            pytest.param("5,1.7e308", "6,1.7e308",
+                         "DI(A < B) = 2.94118e-309  [partially-less]", id="one-over-inf"),
+        ],
+    )
+    def test_index_past_float_range_is_exact(self, capsys, a, b, line):
+        assert main(["rank", "--", a, b]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == line
 
 
 class TestValidate:

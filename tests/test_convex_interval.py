@@ -21,7 +21,7 @@ from fuzzygame.matrix import Axis
 from fuzzygame.solver import (
     _blend,
     _check_index,
-    _entry_di,
+    _evidence,
     convex_col_dominates,
     convex_row_dominates,
     reduce_dominance,
@@ -39,10 +39,7 @@ def reference_convex_row(pm, p, q, s, betas):
         bf = Fraction(beta)
         virtual = tuple(_blend(pm.entry(p, j), pm.entry(q, j), bf) for j in range(pm.cols))
         if all(virtual[j].center >= pm.entry(s, j).center for j in range(pm.cols)):
-            evidence = tuple(
-                _entry_di(pm.entry(s, j), virtual[j]) for j in range(pm.cols)
-            )
-            return beta, evidence
+            return beta, _evidence(pm.row(s), virtual)
     return None
 
 
@@ -57,10 +54,7 @@ def reference_convex_col(pm, p, q, s, alphas):
         af = Fraction(alpha)
         virtual = tuple(_blend(pm.entry(i, p), pm.entry(i, q), af) for i in range(pm.rows))
         if all(virtual[i].center <= pm.entry(i, s).center for i in range(pm.rows)):
-            evidence = tuple(
-                _entry_di(virtual[i], pm.entry(i, s)) for i in range(pm.rows)
-            )
-            return alpha, evidence
+            return alpha, _evidence(virtual, pm.col(s))
     return None
 
 

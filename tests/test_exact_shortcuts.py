@@ -1,9 +1,10 @@
 """Shortcut formulas in the solver against the full computations they replace.
 
-``_entry_di`` reads the dominance index straight off two entries instead of
-going through ``di_fuzzy`` on their LR triples, and ``_assert_expected_payoff``
-sums the expected payoff over the supports of x and y instead of over every
-cell.  Both must give exactly what the full computation gives.
+``_evidence`` reads each entry's dominance index straight off the centers
+and spreads (``dominance_index``) instead of going through ``di_fuzzy`` on
+their LR triples, and ``_assert_expected_payoff`` sums the expected payoff
+over the supports of x and y instead of over every cell.  Both must give
+exactly what the full computation gives.
 """
 
 import itertools
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 
 from fuzzygame import FuzzyNum, NotReducibleError, PayoffMatrix, StepKind, solve_pipeline
 from fuzzygame.fuzzy import di_fuzzy
-from fuzzygame.solver import Solution, SolutionKind, _assert_expected_payoff, _entry_di
+from fuzzygame.solver import Solution, SolutionKind, _assert_expected_payoff, _evidence
+
+
+def entry_di(a, b):
+    # The solver's evidence for one pair of entries.
+    return _evidence((a,), (b,))[0]
 
 
 def reference_entry_di(a, b):
@@ -83,15 +89,15 @@ class TestEntryDominanceIndex:
             a = FuzzyNum(_center(rng), _spread(rng))
             b = FuzzyNum(_center(rng), _spread(rng))
             crisp += a.spread + b.spread == 0
-            assert repr(_entry_di(a, b)) == repr(reference_entry_di(a, b)), (a, b)
-            assert repr(_entry_di(b, a)) == repr(reference_entry_di(b, a)), (b, a)
+            assert repr(entry_di(a, b)) == repr(reference_entry_di(a, b)), (a, b)
+            assert repr(entry_di(b, a)) == repr(reference_entry_di(b, a)), (b, a)
         assert crisp > 50
 
     def test_keeps_the_sign_of_zero(self):
         for ca, cb in itertools.product((0.0, -0.0, 0), repeat=2):
             for sa, sb in ((0.1, 0.2), (0, 0.5), (F(1, 3), 0.0)):
                 a, b = FuzzyNum(ca, sa), FuzzyNum(cb, sb)
-                assert repr(_entry_di(a, b)) == repr(reference_entry_di(a, b))
+                assert repr(entry_di(a, b)) == repr(reference_entry_di(a, b))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -102,7 +108,7 @@ class TestEntryDominanceIndex:
     )
     def test_matches_lr_triples_on_any_pair(self, ca, sa, cb, sb):
         a, b = FuzzyNum(ca, sa), FuzzyNum(cb, sb)
-        assert repr(_entry_di(a, b)) == repr(reference_entry_di(a, b))
+        assert repr(entry_di(a, b)) == repr(reference_entry_di(a, b))
 
 
 def _random_game(rng, m, n):

@@ -1,6 +1,7 @@
 """Fuzzy-number primitives: worked values plus algebraic properties."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from fuzzygame import (
     rank,
     trapezoid_eval,
 )
+from fuzzygame.fuzzy import MAX_MAGNITUDE, dominance_index
 
 
 def lr(center, spread):
@@ -105,6 +107,10 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(2, 1)
 
+    def test_negative_halfwidth_rejected(self):
+        with pytest.raises(ValueError, match="halfwidth must be nonnegative, got -1"):
+            Interval.from_midpoint(0, -1)
+
     def test_di_interval_worked_case(self):
         # (152.5 - 115) / (5 + 2.5)
         assert di_interval(Interval(110, 120), Interval(150, 155)) == 5
@@ -116,7 +122,10 @@ class TestInterval:
         assert di_interval(Interval(150, 155), Interval(110, 120)) == -5
 
     def test_di_interval_degenerate(self):
-        with pytest.raises(DegenerateComparisonError):
+        with pytest.raises(
+            DegenerateComparisonError,
+            match="both intervals are points; compare their midpoints directly",
+        ):
             di_interval(Interval(1, 1), Interval(2, 2))
 
 
@@ -139,8 +148,19 @@ class TestDiFuzzy:
         assert di_fuzzy(a, b) == 2
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateComparisonError):
+        with pytest.raises(
+            DegenerateComparisonError,
+            match="facing spreads are both zero; compare the peaks directly",
+        ):
             di_fuzzy(lr(1, 0), lr(2, 0))
+
+    def test_negative_spread_rejected(self):
+        with pytest.raises(ValueError, match="spreads must be nonnegative"):
+            LRTriple(-1, 0, 0)
+
+    def test_infinite_operand_keeps_the_float_quotient(self):
+        # An infinite peak has no exact value, so the float result stands.
+        assert di_fuzzy(LRTriple(1, math.inf, 1), LRTriple(1, 0, 1)) == -math.inf
 
 
 class TestRank:
@@ -164,6 +184,32 @@ class TestRank:
         assert rank(lr(3, 0), lr(5, 0)).di == math.inf
         assert rank(lr(5, 0), lr(3, 0)).di == -math.inf
         assert rank(lr(5, 0), lr(5, 0)).relation is Relation.NON_COMPARABLE
+
+    def test_overflowing_peaks_are_not_nan(self):
+        # In floats both the peak gap and the spread sum overflow: inf/inf.
+        r = rank(lr(1.7e308, 1.7e308), lr(-1.7e308, 1.7e308))
+        assert r.di == -1
+        assert r.relation is Relation.TOTALLY_LESS
+
+    def test_overflowing_spreads_are_not_a_false_zero(self):
+        # In floats the spread sum overflows and 1/inf reads 0.
+        r = rank(lr(5, 1.7e308), lr(6, 1.7e308))
+        assert r.di == float(F(1) / (2 * F(1.7e308)))
+        assert f"{r.di:g}" == "2.94118e-309"
+        assert r.relation is Relation.PARTIALLY_LESS
+
+
+class TestDominanceIndex:
+    def test_int_quotient_beyond_float_range(self):
+        # int / int raises OverflowError here; the exact quotient is past the float maximum.
+        assert dominance_index(-MAX_MAGNITUDE, 0, MAX_MAGNITUDE, 1) == math.inf
+        assert dominance_index(MAX_MAGNITUDE, 1, -MAX_MAGNITUDE, 0) == -math.inf
+
+    def test_exact_quotient_is_rounded(self):
+        # 1.8e308 / 3.4e308 overflows both operands; exactly it rounds to 9/17.
+        assert dominance_index(-0.1e308, 1.7e308, 1.7e308, 1.7e308) == 0.5294117647058824
+        # An exact quotient below the float range still rounds to 0.
+        assert dominance_index(F(1), F(10) ** 400, F(2), 0) == 0.0
 
 
 class TestPreferences:

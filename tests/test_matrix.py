@@ -106,6 +106,22 @@ class TestParse:
         with pytest.raises(MatrixSyntaxError, match="expected 1"):
             parse_matrix('{"rows": ["a", "b"], "entries": [[[1, 0]]]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[[[1, 0]]]", "top level must be an object with an 'entries' key",
+                         id="top-level-array"),
+            pytest.param('{"rows": ["A1"]}', "missing required key 'entries'", id="no-entries"),
+            pytest.param('{"entries": 5}', "'entries' must be an array of rows", id="entries-5"),
+            pytest.param('{"cols": [1], "entries": [[[1, 0]]]}',
+                         "'cols' must be an array of strings", id="number-label"),
+        ],
+    )
+    def test_structure_refusals(self, text, message):
+        with pytest.raises(MatrixSyntaxError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(MatrixSyntaxError, match="unknown"):
             parse_matrix('{"entries": [[[1, 0]]], "extra": 1}')
@@ -195,6 +211,11 @@ class TestSubmatrix:
         with pytest.raises(SelectionError):
             submatrix(simulation_3x4, (0, 7), (0,))
 
+    def test_column_out_of_range(self, simulation_3x4):
+        with pytest.raises(SelectionError) as info:
+            submatrix(simulation_3x4, (0,), (0, 4))
+        assert str(info.value) == "column selection [0, 4] out of range for 4 columns"
+
 
 class TestConstruction:
     def test_negative_spread_rejected(self):
@@ -204,6 +225,25 @@ class TestConstruction:
     def test_ragged_rejected(self):
         with pytest.raises(RaggedRowsError):
             PayoffMatrix.of([[(1, 0), (2, 0)], [(3, 0)]])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(EmptyMatrixError) as info:
+            PayoffMatrix.of([])
+        assert str(info.value) == "matrix must have at least one row and one column"
+
+    @pytest.mark.parametrize(
+        "rows, cols, error, message",
+        [
+            (("A1", "A2"), ("B1", "B2"), MatrixError, "2 row labels for 1 rows"),
+            (("A1",), ("B1",), MatrixError, "1 column labels for 2 columns"),
+            (("A1",), ("B", "B"), DuplicateLabelsError, "duplicate column labels: ('B', 'B')"),
+        ],
+    )
+    def test_direct_construction_checks_labels(self, rows, cols, error, message):
+        entries = ((FuzzyNum(1, 0), FuzzyNum(2, 0)),)
+        with pytest.raises(error) as info:
+            PayoffMatrix(entries, rows, cols)
+        assert str(info.value) == message
 
     def test_valid_matrix_never_raises(self):
         rng = random.Random(7)

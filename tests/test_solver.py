@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -171,6 +172,10 @@ class TestConvexDominance:
         with pytest.raises(ValueError):
             convex_row_dominates(convex_3x3, 1, 1, 0)
 
+    def test_empty_grid_rejected(self, convex_3x3):
+        with pytest.raises(ValueError, match="convex coefficient grid must not be empty"):
+            convex_row_dominates(convex_3x3, 1, 2, 0, ())
+
     def test_no_coefficient_works(self, subgame_2x3):
         assert convex_col_dominates(subgame_2x3, 0, 1, 2, beta_grid()) is None
 
@@ -238,6 +243,15 @@ class TestSolve2x2:
             b[0][0] + b[1][1] - b[0][1] - b[1][0]
         ) - F(95, 6)
         assert F(sol.value.spread) == expected
+
+    def test_endpoint_falls_back_to_expected(self):
+        # Right endpoints [[1, 1], [1, 1]] make the endpoint denominator 0.
+        pm = PayoffMatrix.of([[(1, 0), (0, 1)], [(0, 1), (1, 0)]])
+        sol = solve_2x2(pm, SpreadConvention.ENDPOINT)
+        assert sol.x == sol.y == (F(1, 2), F(1, 2))
+        assert sol.value.spread == F(1, 2)
+        assert type(sol.value.spread) is F
+        assert sol.value == solve_2x2(pm, SpreadConvention.EXPECTED).value
 
     def test_endpoint_spread_clamped_at_zero(self):
         # descending spreads push the endpoint formula below the center
@@ -316,17 +330,26 @@ class TestReduceDominance:
 
     def test_nan_index_does_not_pass_a_positive_threshold(self):
         # Entries near the float maximum overflow A1's index over A2 in the
-        # first column to inf/inf = nan; its exact value is 1.8/3.4, below 0.6.
+        # first column to inf/inf in floats; its exact value, 1.8/3.4 = 9/17,
+        # is below 0.6.
         pm = PayoffMatrix.of([
             [(1.7e308, 1.7e308), (5, 0.1)],
             [(-0.1e308, 1.7e308), (1, 0.1)],
             [(0, 0.1), (3, 0.1)],
         ])
-        assert math.isnan(row_dominates(pm, 0, 1)[0])
+        assert row_dominates(pm, 0, 1)[0] == 0.5294117647058824
         assert row_dominates(pm, 0, 1, threshold=0.6) is None
         result = reduce_dominance(pm, PipelineConfig(threshold=0.6))
         assert [s.deleted for s in result.trace] == [StrategyIndex(Axis.ROW, 2)]
         assert result.residual.row_labels == ("A1", "A2")
+
+    def test_int_index_beyond_float_range_is_inf(self):
+        # 2M / 1 as int division raises OverflowError; exactly it is past the float range.
+        big = int(sys.float_info.max)
+        pm = PayoffMatrix.of([[(big, 1), (5, 0)], [(-big, 0), (1, 0)], [(0, 0), (3, 0)]])
+        assert row_dominates(pm, 0, 1) == (math.inf, math.inf)
+        result = reduce_dominance(pm)
+        assert result.trace[0].evidence == (math.inf, math.inf)
 
 
 class TestSolvePipeline:
