@@ -80,12 +80,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _config_doc(args: argparse.Namespace) -> dict:
+def _config_doc(config: PipelineConfig) -> dict:
     return {
-        "threshold": args.threshold,
-        "beta_steps": args.beta_steps,
-        "attitude": args.attitude,
-        "spread_convention": args.spread_convention,
+        "threshold": config.threshold,
+        "beta_steps": len(config.betas),
+        "attitude": config.attitude.value,
+        "spread_convention": config.convention.value,
     }
 
 
@@ -110,7 +110,7 @@ def _step_doc(step: ReductionStep, pm: PayoffMatrix) -> dict:
     }
 
 
-def _solution_doc(solution: Solution, pm: PayoffMatrix, args: argparse.Namespace) -> dict:
+def _solution_doc(solution: Solution, pm: PayoffMatrix, config: PipelineConfig) -> dict:
     return {
         "kind": solution.kind.value,
         "x": [float(p) for p in solution.x],
@@ -124,7 +124,7 @@ def _solution_doc(solution: Solution, pm: PayoffMatrix, args: argparse.Namespace
             "spread_exact": frac_str(solution.value.spread),
         },
         "trace": [_step_doc(s, pm) for s in solution.trace],
-        "config": _config_doc(args),
+        "config": _config_doc(config),
     }
 
 
@@ -197,7 +197,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
                 "error": "not-reducible",
                 "residual": json.loads(serialize_matrix(exc.residual)),
                 "trace": [_step_doc(s, pm) for s in exc.trace],
-                "config": _config_doc(args),
+                "config": _config_doc(config),
             }
             print(json.dumps(doc, indent=2))
         else:
@@ -208,7 +208,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
                   file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
     if machine:
-        print(json.dumps(_solution_doc(solution, pm, args), indent=2))
+        print(json.dumps(_solution_doc(solution, pm, config), indent=2))
     else:
         _render_solution(solution, pm, args.trace)
     return EXIT_OK
@@ -220,7 +220,7 @@ def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfi
         doc = {
             "matrix": json.loads(serialize_matrix(result.residual)),
             "trace": [_step_doc(s, pm) for s in result.trace],
-            "config": _config_doc(args),
+            "config": _config_doc(config),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -296,8 +296,9 @@ def _add_game_command(commands, name, help, read, func, *, pipeline=False, outpu
     sub.add_argument("input", help="matrix document (JSON)")
     if pipeline:
         sub.add_argument("--threshold", type=float, default=0.0,
-                         help="minimum dominance index required for deletions"
-                              " (default 0: weak dominance)")
+                         help="minimum dominance index a plain deletion needs on every"
+                              " entry (default 0: weak dominance); convex deletions"
+                              " ignore it")
         sub.add_argument("--beta-steps", type=int, default=21,
                          help="grid size for convex-combination coefficients (default 21)")
         sub.add_argument("--attitude", choices=[a.value for a in Attitude],

@@ -66,13 +66,19 @@ class Interval:
             raise ValueError(f"halfwidth must be nonnegative, got {halfwidth}")
         return cls(midpoint - halfwidth, midpoint + halfwidth)
 
+    # Near the float maximum the sum or difference overflows although its
+    # half does not; only then are the ends halved first, which would lose
+    # a bit on subnormals if it were the default.  ``v - v == 0`` tests
+    # finiteness without converting an exact value to float.
     @property
     def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2
+        mid = (self.lo + self.hi) / 2
+        return mid if mid - mid == 0 else self.lo / 2 + self.hi / 2
 
     @property
     def halfwidth(self) -> float:
-        return (self.hi - self.lo) / 2
+        half = (self.hi - self.lo) / 2
+        return half if half - half == 0 else self.hi / 2 - self.lo / 2
 
 
 def interval_add(i: Interval, j: Interval) -> Interval:
@@ -155,6 +161,11 @@ class FuzzyNum:
         return LRTriple(self.spread, self.center, self.spread)
 
     def support(self) -> Interval:
+        """``[center - spread, center + spread]`` in float arithmetic.
+
+        An end past the float range is infinite (``<1.7e308, 1.7e308>`` has
+        ``hi = inf``); the number itself and its dominance indices stay exact.
+        """
         return Interval(self.center - self.spread, self.center + self.spread)
 
     @property

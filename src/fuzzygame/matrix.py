@@ -119,10 +119,9 @@ class PayoffMatrix:
             tuple(e if isinstance(e, FuzzyNum) else FuzzyNum(*e) for e in row)
             for row in entries
         )
-        if not grid:
-            raise EmptyMatrixError("matrix must have at least one row and one column")
+        n = len(grid[0]) if grid else 0  # the constructor refuses an empty grid
         rows = tuple(row_labels) if row_labels is not None else default_row_labels(len(grid))
-        cols = tuple(col_labels) if col_labels is not None else default_col_labels(len(grid[0]))
+        cols = tuple(col_labels) if col_labels is not None else default_col_labels(n)
         return cls(grid, rows, cols)
 
     @property
@@ -187,13 +186,6 @@ def parse_matrix(text: str) -> PayoffMatrix:
     raw = doc["entries"]
     if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
         raise MatrixSyntaxError("'entries' must be an array of rows")
-    if not raw or not raw[0]:
-        raise EmptyMatrixError("matrix must have at least one row and one column")
-
-    n = len(raw[0])
-    for i, row in enumerate(raw):
-        if len(row) != n:
-            raise RaggedRowsError(f"row {i + 1} has {len(row)} entries, expected {n}")
 
     # json.loads gives exact list, int, float and bool objects, never a
     # subclass, so exact type tests suffice and keep true/false out.
@@ -217,6 +209,7 @@ def parse_matrix(text: str) -> PayoffMatrix:
                 raise NonFiniteNumberError(f"{_where(i, j)}: {exc}") from None
         grid.append(tuple(cells))
 
+    n = len(grid[0]) if grid else 0  # PayoffMatrix refuses an empty or ragged grid
     row_labels = _parse_labels(doc.get("rows"), len(grid), "rows") or default_row_labels(len(grid))
     col_labels = _parse_labels(doc.get("cols"), n, "cols") or default_col_labels(n)
     return PayoffMatrix(tuple(grid), row_labels, col_labels)

@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .matrix import PayoffMatrix
-from .solver import Solution
+
+if TYPE_CHECKING:  # annotation only: the oracle never runs solver code
+    from .solver import Solution
 
 SIZE_CAP = 32  # 32x32: about 1 s on integer centers, 4 s on tenths (2-core Xeon, Python 3.11)
 

@@ -152,9 +152,9 @@ class PipelineConfig:
     """Knobs of the reduction pipeline.
 
     ``threshold`` > 0 additionally requires every per-entry dominance index
-    to reach it (the literal total-dominance regime); the default 0 uses
-    weak dominance on centers, which is what the worked reductions need.
-    Every convex coefficient in ``betas`` must lie in [0, 1].
+    of a plain deletion to reach it (convex deletions ignore it); the
+    default 0 uses weak dominance on centers, which is what the worked
+    reductions need.  Every convex coefficient in ``betas`` must lie in [0, 1].
     """
 
     threshold: float = 0.0
@@ -259,19 +259,16 @@ def _covers(
     return evidence
 
 
-def _blend(a: FuzzyNum, b: FuzzyNum, beta: Fraction) -> FuzzyNum:
-    # Exact rational blend keeps the dominance comparisons deterministic.
-    return FuzzyNum(
-        beta * Fraction(a.center) + (1 - beta) * Fraction(b.center),
-        beta * Fraction(a.spread) + (1 - beta) * Fraction(b.spread),
-    )
-
-
 def _blends(
     first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: float
 ) -> tuple[FuzzyNum, ...]:
+    # Exact rational blend keeps the dominance comparisons deterministic.
     bf = Fraction(beta)
-    return tuple(_blend(a, b, bf) for a, b in zip(first, second))
+    return tuple(
+        FuzzyNum(bf * Fraction(a.center) + (1 - bf) * Fraction(b.center),
+                 bf * Fraction(a.spread) + (1 - bf) * Fraction(b.spread))
+        for a, b in zip(first, second)
+    )
 
 
 def _first_feasible(
@@ -351,17 +348,13 @@ def convex_col_dominates(
     return alpha, _evidence(_blends(pm.col(p), pm.col(q), alpha), pm.col(s))
 
 
-def _pure(size: int, at: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if k == at else Fraction(0) for k in range(size))
-
-
 def _saddle_solution(pm: PayoffMatrix, saddle: tuple[int, int, FuzzyNum]) -> Solution:
     i, j, entry = saddle
     label = f"saddle at ({pm.row_labels[i]}, {pm.col_labels[j]})"
     step = ReductionStep(StepKind.SADDLE_FOUND, None, label, ())
-    return Solution(
-        _pure(pm.rows, i), _pure(pm.cols, j), entry, SolutionKind.PURE_SADDLE, (step,)
-    )
+    x = _on_original(pm.rows, (i,), (Fraction(1),))
+    y = _on_original(pm.cols, (j,), (Fraction(1),))
+    return Solution(x, y, entry, SolutionKind.PURE_SADDLE, (step,))
 
 
 def solve_2x2(
@@ -391,36 +384,34 @@ def solve_2x2(
     if saddle is not None:
         return _saddle_solution(pm, saddle)
 
-    m11, m12 = Fraction(pm.entry(0, 0).center), Fraction(pm.entry(0, 1).center)
-    m21, m22 = Fraction(pm.entry(1, 0).center), Fraction(pm.entry(1, 1).center)
-    d = m11 + m22 - m12 - m21
-    if d == 0:
+    solved = _closed_form(pm.exact_centers)
+    if solved is None:
         raise RuntimeError("internal consistency: no saddle point yet D == 0")
-    x = ((m22 - m21) / d, (m11 - m12) / d)
-    y = ((m22 - m12) / d, (m11 - m21) / d)
+    x, y, center = solved
     if any(not 0 < p < 1 for p in (*x, *y)):
         raise RuntimeError("internal consistency: no saddle point yet degenerate mix")
-    center = (m11 * m22 - m12 * m21) / d
 
     spread = None
     if convention is SpreadConvention.ENDPOINT:
-        spread = _endpoint_spread(pm, center)
+        ends = [[Fraction(e.center) + Fraction(e.spread) for e in row] for row in pm.entries]
+        endpoint = _closed_form(ends)
+        if endpoint is not None:
+            spread = max(endpoint[2] - center, Fraction(0))
     if spread is None:
         spread = _expected(pm, x, y, "spread")
 
     return Solution(x, y, FuzzyNum(center, spread), SolutionKind.MIXED_2X2, ())
 
 
-def _endpoint_spread(pm: PayoffMatrix, center: Fraction) -> Fraction | None:
-    b = [
-        [Fraction(pm.entry(i, j).center) + Fraction(pm.entry(i, j).spread) for j in (0, 1)]
-        for i in (0, 1)
-    ]
-    denom = b[0][0] + b[1][1] - b[0][1] - b[1][0]
-    if denom == 0:
+def _closed_form(m: Sequence[Sequence[Fraction]]) -> tuple[tuple, tuple, Fraction] | None:
+    # The formula of solve_2x2 on the exact 2x2 grid m: (x, y, value), or None when D == 0.
+    (m11, m12), (m21, m22) = m
+    d = m11 + m22 - m12 - m21
+    if d == 0:
         return None
-    spread = (b[0][0] * b[1][1] - b[0][1] * b[1][0]) / denom - center
-    return max(spread, Fraction(0))
+    x = ((m22 - m21) / d, (m11 - m12) / d)
+    y = ((m22 - m12) / d, (m11 - m21) / d)
+    return x, y, (m11 * m22 - m12 * m21) / d
 
 
 @dataclass(frozen=True)
@@ -496,21 +487,15 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
     scratch after every deletion, so traces are reproducible.
     """
     config = config or PipelineConfig()
+    rows, cols = list(range(pm.rows)), list(range(pm.cols))  # original indices still kept
     work = pm
-    ids = [list(range(pm.rows)), list(range(pm.cols))]  # rows, then columns
     steps: list[ReductionStep] = []
-    while True:
-        hit = _first_deletion(work, config)
-        if hit is None:
-            break
+    while (hit := _first_deletion(work, config)) is not None:
         kind, axis, pos, dominator, evidence = hit
-        side = 0 if axis is Axis.ROW else 1
-        original = StrategyIndex(axis, ids[side].pop(pos))
-        steps.append(ReductionStep(kind, original, dominator, evidence))
-        keep = [range(work.rows), range(work.cols)]
-        keep[side] = [k for k in keep[side] if k != pos]
-        work = submatrix(work, *keep)
-    return ReductionResult(work, tuple(steps), tuple(ids[0]), tuple(ids[1]))
+        kept = rows if axis is Axis.ROW else cols
+        steps.append(ReductionStep(kind, StrategyIndex(axis, kept.pop(pos)), dominator, evidence))
+        work = submatrix(pm, rows, cols)
+    return ReductionResult(work, tuple(steps), tuple(rows), tuple(cols))
 
 
 def _first_deletion(

@@ -82,6 +82,18 @@ class TestSolve:
         assert doc["trace"][0]["deleted"] == {"axis": "row", "index": 0, "label": "A1"}
         assert doc["config"]["threshold"] == 0.0
 
+    def test_machine_config_reports_the_options(self, write_game, simulation_3x4, capsys):
+        code = main(["solve", write_game(simulation_3x4), "--format", "machine",
+                     "--threshold", "1", "--beta-steps", "5", "--attitude", "optimistic",
+                     "--spread-convention", "endpoint"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            "threshold": 1.0,
+            "beta_steps": 5,
+            "attitude": "optimistic",
+            "spread_convention": "endpoint",
+        }
+
     def test_machine_mode_keeps_stdout_clean_on_error(self, write_game, capsys):
         code = main(["solve", write_game("{nope"), "--format", "machine"])
         captured = capsys.readouterr()

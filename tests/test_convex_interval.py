@@ -19,7 +19,7 @@ from fuzzygame import (
 from fuzzygame import solver
 from fuzzygame.matrix import Axis
 from fuzzygame.solver import (
-    _blend,
+    _blends,
     _check_index,
     _evidence,
     convex_col_dominates,
@@ -36,8 +36,7 @@ def reference_convex_row(pm, p, q, s, betas):
     if not betas:
         raise ValueError("beta grid must not be empty")
     for beta in betas:
-        bf = Fraction(beta)
-        virtual = tuple(_blend(pm.entry(p, j), pm.entry(q, j), bf) for j in range(pm.cols))
+        virtual = _blends(pm.row(p), pm.row(q), beta)
         if all(virtual[j].center >= pm.entry(s, j).center for j in range(pm.cols)):
             return beta, _evidence(pm.row(s), virtual)
     return None
@@ -51,8 +50,7 @@ def reference_convex_col(pm, p, q, s, alphas):
     if not alphas:
         raise ValueError("alpha grid must not be empty")
     for alpha in alphas:
-        af = Fraction(alpha)
-        virtual = tuple(_blend(pm.entry(i, p), pm.entry(i, q), af) for i in range(pm.rows))
+        virtual = _blends(pm.col(p), pm.col(q), alpha)
         if all(virtual[i].center <= pm.entry(i, s).center for i in range(pm.rows)):
             return alpha, _evidence(virtual, pm.col(s))
     return None

@@ -121,6 +121,16 @@ class TestInterval:
     def test_di_interval_antisymmetric_case(self):
         assert di_interval(Interval(150, 155), Interval(110, 120)) == -5
 
+    def test_di_interval_midpoints_past_the_float_range(self):
+        # lo + hi overflows for both intervals; the midpoints themselves are finite.
+        di = di_interval(Interval(1e308, 1.2e308), Interval(1.1e308, 1.3e308))
+        assert math.isclose(di, 0.5, rel_tol=1e-12)
+
+    def test_di_interval_halfwidth_past_the_float_range(self):
+        # hi - lo overflows; the index is a subnormal, not a false 0.
+        di = di_interval(Interval(-1.7e308, 1.7e308), Interval(0, 1))
+        assert di == 2.941176470588236e-309
+
     def test_di_interval_degenerate(self):
         with pytest.raises(
             DegenerateComparisonError,

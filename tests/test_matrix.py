@@ -74,6 +74,15 @@ class TestParse:
         with pytest.raises(EmptyMatrixError):
             parse_matrix('{"entries": [[]]}')
 
+    def test_ragged_document_with_a_bad_cell_names_the_cell(self):
+        # Cells are read before the shape is checked, once, by PayoffMatrix.
+        with pytest.raises(NegativeSpreadError, match=r"entries\[2\]\[3\]"):
+            parse_matrix('{"entries": [[[1, 0], [2, 0]], [[3, 0], [4, 0], [5, -1]]]}')
+
+    def test_empty_row_with_labels_names_the_label_count(self):
+        with pytest.raises(MatrixSyntaxError, match="'cols' lists 1 labels, expected 0"):
+            parse_matrix('{"entries": [[]], "cols": ["B1"]}')
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(MatrixSyntaxError, match=r"line 2"):
             parse_matrix('{"entries":\n [[1, 0],]}')

@@ -1,7 +1,9 @@
 """Exact center-game oracle: the simplex solver against known games."""
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,35 @@ class TestSolverAgainstOracleBeyondEight:
                 sol = solve_pipeline(pm)
                 assert sol.kind is SolutionKind.MIXED_2X2
                 assert oracle_check(pm, sol).passed
+
+
+
+def _runtime_solver_imports(source):
+    # Lines that import the solver module outside an ``if TYPE_CHECKING:`` block.
+    tree = ast.parse(source)
+    guarded = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for stmt in node.body
+        for inner in ast.walk(stmt)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if id(node) not in guarded and any("solver" in n.split(".") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_oracle_imports_the_solver_only_for_type_checking():
+    # The oracle checks the solver, so it must not depend on solver code at run time.
+    assert _runtime_solver_imports("from .solver import Solution\n") == [1]
+    assert _runtime_solver_imports("if TYPE_CHECKING:\n    from . import solver\n") == []
+    source = Path(__file__).resolve().parents[1] / "src" / "fuzzygame" / "oracle.py"
+    assert _runtime_solver_imports(source.read_text()) == []

@@ -351,6 +351,56 @@ class TestReduceDominance:
         result = reduce_dominance(pm)
         assert result.trace[0].evidence == (math.inf, math.inf)
 
+    def test_threshold_does_not_gate_convex_deletions(self, convex_3x3):
+        # Convex deletions take no threshold: A1's evidence [0, 0, 7.5] and
+        # B3's [0, 1.43] stay far below 100, yet both are deleted.
+        weak = reduce_dominance(convex_3x3, PipelineConfig(threshold=0.0))
+        strict = reduce_dominance(convex_3x3, PipelineConfig(threshold=100.0))
+        assert strict.trace == weak.trace
+        assert [s.kind for s in strict.trace] == [
+            StepKind.CONVEX_ROW_DOMINANCE, StepKind.CONVEX_COL_DOMINANCE,
+        ]
+
+
+def _bookkeeping_cases():
+    rng = random.Random(8)
+    for k in range(60):
+        m, n = rng.randint(2, 6), rng.randint(3, 6)
+        if k % 2:  # tenths centers, on a narrow range so that dominance happens
+            rows = [[(rng.randint(-30, 30) / 10, rng.choice((0, 0.1, 0.25)))
+                     for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[(rng.randint(-6, 6), rng.choice((0, 0.5, 1))) for _ in range(n)]
+                    for _ in range(m)]
+        yield PayoffMatrix.of(rows)
+
+
+class TestReductionBookkeeping:
+    """The kept ids, the trace and the residual describe one and the same deletion set."""
+
+    @staticmethod
+    def check(pm, result):
+        assert result.residual == submatrix(pm, result.row_ids, result.col_ids)
+        for axis, ids, size in ((Axis.ROW, result.row_ids, pm.rows),
+                                (Axis.COL, result.col_ids, pm.cols)):
+            deleted = [s.deleted.index for s in result.trace if s.deleted.axis is axis]
+            assert sorted(deleted + list(ids)) == list(range(size))
+            assert list(ids) == sorted(set(ids))
+
+    def test_fixtures(self, dominance_3x3, convex_3x3):
+        for pm in (dominance_3x3, convex_3x3):
+            result = reduce_dominance(pm)
+            assert result.trace
+            self.check(pm, result)
+
+    def test_random_games(self):
+        deletions = 0
+        for pm in _bookkeeping_cases():
+            result = reduce_dominance(pm)
+            deletions += len(result.trace)
+            self.check(pm, result)
+        assert deletions > 60  # the games do exercise the bookkeeping
+
 
 class TestSolvePipeline:
     def test_simulation_end_to_end(self, simulation_3x4):
