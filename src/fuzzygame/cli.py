@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -80,9 +81,14 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
+def _json_number(value: float) -> float | str:
+    # Strict JSON has no infinities, so they are named; allow_nan=False refuses a NaN.
+    return ("Infinity" if value > 0 else "-Infinity") if math.isinf(value) else value
+
+
 def _config_doc(config: PipelineConfig) -> dict:
     return {
-        "threshold": config.threshold,
+        "threshold": _json_number(config.threshold),
         "beta_steps": len(config.betas),
         "attitude": config.attitude.value,
         "spread_convention": config.convention.value,
@@ -106,7 +112,7 @@ def _step_doc(step: ReductionStep, pm: PayoffMatrix) -> dict:
         "kind": step.kind.value,
         "deleted": deleted,
         "dominator": step.dominator,
-        "evidence": list(step.evidence),
+        "evidence": [_json_number(e) for e in step.evidence],
     }
 
 
@@ -114,14 +120,14 @@ def _solution_doc(solution: Solution, pm: PayoffMatrix, config: PipelineConfig) 
     return {
         "kind": solution.kind.value,
         "x": [float(p) for p in solution.x],
-        "x_exact": [frac_str(p) for p in solution.x],
+        "x_exact": [str(Fraction(p)) for p in solution.x],
         "y": [float(p) for p in solution.y],
-        "y_exact": [frac_str(p) for p in solution.y],
+        "y_exact": [str(Fraction(p)) for p in solution.y],
         "value": {
             "center": float(solution.value.center),
             "spread": float(solution.value.spread),
-            "center_exact": frac_str(solution.value.center),
-            "spread_exact": frac_str(solution.value.spread),
+            "center_exact": str(Fraction(solution.value.center)),
+            "spread_exact": str(Fraction(solution.value.spread)),
         },
         "trace": [_step_doc(s, pm) for s in solution.trace],
         "config": _config_doc(config),
@@ -199,7 +205,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
                 "trace": [_step_doc(s, pm) for s in exc.trace],
                 "config": _config_doc(config),
             }
-            print(json.dumps(doc, indent=2))
+            print(json.dumps(doc, indent=2, allow_nan=False))
         else:
             print(f"error: {exc}", file=sys.stderr)
             print("residual matrix:", file=sys.stderr)
@@ -208,7 +214,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
                   file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
     if machine:
-        print(json.dumps(_solution_doc(solution, pm, config), indent=2))
+        print(json.dumps(_solution_doc(solution, pm, config), indent=2, allow_nan=False))
     else:
         _render_solution(solution, pm, args.trace)
     return EXIT_OK
@@ -222,7 +228,7 @@ def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfi
             "trace": [_step_doc(s, pm) for s in result.trace],
             "config": _config_doc(config),
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(serialize_matrix(result.residual), end="")
         if args.trace:
@@ -295,18 +301,20 @@ def _add_game_command(commands, name, help, read, func, *, pipeline=False, outpu
     sub = commands.add_parser(name, help=help)
     sub.add_argument("input", help="matrix document (JSON)")
     if pipeline:
-        sub.add_argument("--threshold", type=float, default=0.0,
+        defaults = PipelineConfig()
+        sub.add_argument("--threshold", type=float, default=defaults.threshold,
                          help="minimum dominance index a plain deletion needs on every"
-                              " entry (default 0: weak dominance); convex deletions"
-                              " ignore it")
-        sub.add_argument("--beta-steps", type=int, default=21,
-                         help="grid size for convex-combination coefficients (default 21)")
+                              " entry (default %(default)g: weak dominance); convex"
+                              " deletions ignore it")
+        sub.add_argument("--beta-steps", type=int, default=len(defaults.betas),
+                         help="grid size for convex-combination coefficients"
+                              " (default %(default)s)")
         sub.add_argument("--attitude", choices=[a.value for a in Attitude],
-                         default=Attitude.PESSIMISTIC.value,
-                         help="tie-break attitude for equal centers (default pessimistic)")
+                         default=defaults.attitude.value,
+                         help="tie-break attitude for equal centers (default %(default)s)")
         sub.add_argument("--spread-convention", choices=[c.value for c in SpreadConvention],
-                         default=SpreadConvention.EXPECTED.value,
-                         help="how the value spread is derived (default expected)")
+                         default=defaults.convention.value,
+                         help="how the value spread is derived (default %(default)s)")
     if output:
         sub.add_argument("--format", choices=["table", "machine"], default="table")
         sub.add_argument("--trace", action="store_true", help="show every reduction step")

@@ -150,17 +150,9 @@ class PayoffMatrix:
         return tuple(tuple(Fraction(e.center) for e in row) for row in self.entries)
 
     @cached_property
-    def dual(self) -> "PayoffMatrix":
-        """The negated transpose with the labels swapped, built on first use and kept.
-
-        Its rows are the column player's strategies: minimizing over this
-        game's columns is maximizing over the dual's rows.
-        """
-        return PayoffMatrix(
-            tuple(tuple(FuzzyNum(-e.center, e.spread) for e in col) for col in zip(*self.entries)),
-            self.col_labels,
-            self.row_labels,
-        )
+    def dual_centers(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The column player's game: row j is column j of ``exact_centers`` negated, kept."""
+        return tuple(tuple(-c for c in col) for col in zip(*self.exact_centers))
 
 
 def parse_matrix(text: str) -> PayoffMatrix:

@@ -10,10 +10,10 @@ enumeration of its 2x2 sub-games.  Anything larger is reported as not
 reducible by this method.
 
 The minimizing column player of a game is the maximizing row player of its
-negated transpose (:attr:`PayoffMatrix.dual`), so each test is written once:
-plain column dominance is the row test on two columns with their order
-swapped, and convex column dominance and the column player's guarantee run
-the row versions on the dual.
+negated transpose, which exists only as the exact grid
+:attr:`PayoffMatrix.dual_centers`.  So each test is written once: plain column
+dominance is the row test on two columns with their order swapped, and convex
+column dominance and the column player's guarantee run the row versions on it.
 
 Mixed strategies and value centers are computed in exact rational
 arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
@@ -334,15 +334,15 @@ def convex_col_dominates(
     """Mirror of :func:`convex_row_dominates` in the sense of minimization.
 
     Per row the blend must stay at most column s, that is
-    ``alpha * (c_iq - c_ip) >= c_iq - c_is``: the row test on the negated
-    transpose :attr:`PayoffMatrix.dual`, whose exact centers give the
+    ``alpha * (c_iq - c_ip) >= c_iq - c_is``: the row test on
+    :attr:`PayoffMatrix.dual_centers`, the negated transpose, which gives the
     reversed inequality exactly.  The evidence is read on this game's own
     columns, the blend below column s, as for plain column dominance; on
-    the dual, an index of -0.0 at a center of -0.0 would lose its sign.
+    negated centers, an index of -0.0 at a center of -0.0 would lose its sign.
     """
     _check_index(pm, Axis.COL, p, q, s)
     _check_coefficients(alphas)
-    alpha = _first_feasible(pm.dual.exact_centers, p, q, s, alphas)
+    alpha = _first_feasible(pm.dual_centers, p, q, s, alphas)
     if alpha is None:
         return None
     return alpha, _evidence(_blends(pm.col(p), pm.col(q), alpha), pm.col(s))
@@ -603,14 +603,14 @@ def _repaired_subgame_solution(
     the pair (this needs tied sub-game values).  In that case the strategy
     is borrowed from another enumerated sub-game that does satisfy the
     guarantee; such a donor always exists.  The column player's guarantee
-    is checked as the row player's on the dual, against the negated value.
+    is checked as the row player's on ``dual_centers``, against -value.
     """
     solution = chosen.solution
     value = Fraction(solution.value.center)
     if enum.axis is Axis.COL:
         other, centers = "x", work.exact_centers
     else:
-        other, centers, value = "y", work.dual.exact_centers, -value
+        other, centers, value = "y", work.dual_centers, -value
     for cand in (chosen, *enum.candidates):
         mix = getattr(cand.solution, other)
         if _guarantees(centers, mix, value):

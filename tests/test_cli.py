@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, table and machine output, streams."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,7 +11,16 @@ from fractions import Fraction as F
 import pytest
 
 import fuzzygame
-from fuzzygame import MAX_BETA_STEPS, parse_matrix, serialize_matrix, solve_pipeline
+from fuzzygame import (
+    MAX_BETA_STEPS,
+    NotReducibleError,
+    PayoffMatrix,
+    PipelineConfig,
+    SpreadConvention,
+    parse_matrix,
+    serialize_matrix,
+    solve_pipeline,
+)
 from fuzzygame.cli import main
 
 
@@ -173,6 +184,67 @@ class TestReduce:
         out = capsys.readouterr().out
         assert code == 0
         assert "1. row-dominance: deleted A2 (dominated by A1); DI = [inf, inf]\n" in out
+
+
+def refuse_constant(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+# A crisp game whose only deletion, A3 under A1, has an infinite index in both columns.
+CRISP_3X2 = '{"entries": [[[3, 0], [1, 0]], [[1, 0], [3, 0]], [[0, 0], [0, 0]]]}'
+
+
+class TestMachineDocuments:
+    """Machine mode is strict JSON, and its *_exact keys are the library's exact numbers."""
+
+    @pytest.mark.parametrize("convention", ["expected", "endpoint"])
+    def test_exact_keys_are_exact(self, write_game, capsys, convention):
+        rng = random.Random(1307)
+        draws = (lambda: rng.randint(-30, 30) / 10, lambda: rng.uniform(-3, 3))
+        solved = 0
+        for k in range(120):
+            center = draws[k % 2]
+            m, n = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+            pm = PayoffMatrix.of(
+                [[(center(), rng.uniform(0, 0.5)) for _ in range(n)] for _ in range(m)]
+            )
+            config = PipelineConfig(convention=SpreadConvention(convention))
+            try:
+                sol = solve_pipeline(pm, config)
+            except NotReducibleError:
+                continue
+            code = main(["solve", write_game(pm), "--format", "machine",
+                         "--spread-convention", convention])
+            doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+            assert code == 0
+            x, y = [F(s) for s in doc["x_exact"]], [F(s) for s in doc["y_exact"]]
+            assert (tuple(x), tuple(y)) == (sol.x, sol.y)
+            assert sum(x) == 1 and sum(y) == 1
+            assert F(doc["value"]["center_exact"]) == F(sol.value.center)
+            assert F(doc["value"]["spread_exact"]) == F(sol.value.spread)
+            solved += 1
+        assert solved >= 50
+
+    @pytest.mark.parametrize("command, text, label", [
+        ("reduce", '{"entries": [[[5, 0], [3, 0]], [[1, 0], [2, 0]]]}', "A2"),
+        ("solve", CRISP_3X2, "A3"),  # the 2x2 crisp game above is a saddle under solve
+    ], ids=["reduce", "solve"])
+    def test_infinite_index_is_named(self, write_game, capsys, command, text, label):
+        code = main([command, write_game(text), "--format", "machine", "--trace"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert code == 0
+        first = doc["trace"][0]
+        assert (first["kind"], first["deleted"]["label"]) == ("row-dominance", label)
+        assert first["evidence"] == ["Infinity", "Infinity"]
+        assert [float(e) for e in first["evidence"]] == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    def test_infinite_threshold_is_named(self, write_game, convex_3x3, capsys, command):
+        code = main([command, write_game(convex_3x3), "--format", "machine",
+                     "--threshold", "inf"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert code == 0
+        assert doc["config"]["threshold"] == "Infinity"
 
 
 class TestRank:

@@ -153,6 +153,7 @@ def test_exact_centers_built_only_by_convex_tests(dominance_3x3, convex_3x3):
     # Plain dominance never needs the rational view of the centers.
     reduce_dominance(dominance_3x3)
     assert "exact_centers" not in vars(dominance_3x3)
+    assert "dual_centers" not in vars(dominance_3x3)
     convex_row_dominates(convex_3x3, 1, 2, 0)
     assert "exact_centers" in vars(convex_3x3)
 

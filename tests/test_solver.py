@@ -613,8 +613,11 @@ class TestColumnPlayerIsRowPlayerOfDual:
         assert alpha == 0.5
         assert math.copysign(1, evidence[0]) == -1 and evidence[0] == 0
 
-    def test_payoff_matrix_dual_is_the_negated_transpose(self, simulation_3x4):
-        dual = simulation_3x4.dual
-        assert dual == negated_transpose(simulation_3x4)
-        assert dual is simulation_3x4.dual
-        assert dual.dual == simulation_3x4
+    def test_dual_centers_are_the_negated_transpose(self, simulation_3x4):
+        rng = random.Random(2718)
+        drawn = [PayoffMatrix.of([[(center(rng), 0.1) for _ in range(4)] for _ in range(3)])
+                 for center in DUALITY_CENTERS.values()]
+        for pm in (simulation_3x4, *drawn):
+            dual = pm.dual_centers
+            assert dual == negated_transpose(pm).exact_centers
+            assert dual is pm.dual_centers
