@@ -44,21 +44,15 @@ EXIT_NOT_REDUCIBLE = 2
 MAX_FRACTION_DENOMINATOR = 10**6
 
 
-def frac_str(value) -> str:
-    """Reduced-fraction rendering (15/16 style) with decimal fallback."""
+def _number(value) -> str:
+    """Table-mode rendering, each number once: n, n/d (decimal), or, when the
+    denominator exceeds MAX_FRACTION_DENOMINATOR, the decimal alone."""
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     if q.denominator <= MAX_FRACTION_DENOMINATOR:
-        return f"{q.numerator}/{q.denominator}"
+        return f"{q.numerator}/{q.denominator} ({float(q)})"
     return repr(float(q))
-
-
-def _prob_str(value) -> str:
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{frac_str(q)} ({float(q)})"
 
 
 def _parse_fuzzy_arg(text: str) -> FuzzyNum:
@@ -82,7 +76,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _json_number(value: float) -> float | str:
-    # Strict JSON has no infinities, so they are named; allow_nan=False refuses a NaN.
+    # Strict JSON has no infinities, so they are named; _print_document refuses a NaN.
     return ("Infinity" if value > 0 else "-Infinity") if math.isinf(value) else value
 
 
@@ -116,7 +110,7 @@ def _step_doc(step: ReductionStep, pm: PayoffMatrix) -> dict:
     }
 
 
-def _solution_doc(solution: Solution, pm: PayoffMatrix, config: PipelineConfig) -> dict:
+def _solution_doc(solution: Solution) -> dict:
     return {
         "kind": solution.kind.value,
         "x": [float(p) for p in solution.x],
@@ -129,9 +123,14 @@ def _solution_doc(solution: Solution, pm: PayoffMatrix, config: PipelineConfig) 
             "center_exact": str(Fraction(solution.value.center)),
             "spread_exact": str(Fraction(solution.value.spread)),
         },
-        "trace": [_step_doc(s, pm) for s in solution.trace],
-        "config": _config_doc(config),
     }
+
+
+def _print_document(doc: dict, steps, pm: PayoffMatrix, config: PipelineConfig) -> None:
+    # The only machine-mode writer: trace and config close every document.
+    doc["trace"] = [_step_doc(s, pm) for s in steps]
+    doc["config"] = _config_doc(config)
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _render_trace(steps, pm: PayoffMatrix) -> None:
@@ -139,16 +138,15 @@ def _render_trace(steps, pm: PayoffMatrix) -> None:
     if not steps:
         print("  (empty)")
     for k, step in enumerate(steps, start=1):
+        numbers = ", ".join(f"{d:g}" for d in step.evidence)
         line = f"  {k}. {step.kind.value}"
         if step.deleted is not None:
             line += f": deleted {_deleted_label(step, pm)}"
-            line += f" (dominated by {step.dominator})"
-            line += "; DI = [" + ", ".join(f"{d:g}" for d in step.evidence) + "]"
+            line += f" (dominated by {step.dominator}); DI = [{numbers}]"
         else:
             line += f": {step.dominator}"
             if step.kind is StepKind.SUBGAME_SELECTION:
-                line += ("; candidate centers = ["
-                         + ", ".join(f"{d:g}" for d in step.evidence) + "]")
+                line += f"; candidate centers = [{numbers}]"
         print(line)
 
 
@@ -156,10 +154,8 @@ def _render_solution(solution: Solution, pm: PayoffMatrix, show_trace: bool) -> 
     print(f"kind: {solution.kind.value}")
     mixes = (("x", pm.row_labels, solution.x), ("y", pm.col_labels, solution.y))
     for name, labels, mix in mixes:
-        print(f"{name}: " + " ".join(f"{label}={_prob_str(p)}" for label, p in zip(labels, mix)))
-    center, spread = solution.value.center, solution.value.spread
-    print(f"value: <{frac_str(center)}, {frac_str(spread)}>"
-          f" = <{float(center)}, {float(spread)}>")
+        print(f"{name}: " + " ".join(f"{label}={_number(p)}" for label, p in zip(labels, mix)))
+    print(f"value: <{_number(solution.value.center)}, {_number(solution.value.spread)}>")
     if show_trace:
         _render_trace(solution.trace, pm)
 
@@ -199,13 +195,8 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
         solution = solve_pipeline(pm, config)
     except NotReducibleError as exc:
         if machine:
-            doc = {
-                "error": "not-reducible",
-                "residual": json.loads(serialize_matrix(exc.residual)),
-                "trace": [_step_doc(s, pm) for s in exc.trace],
-                "config": _config_doc(config),
-            }
-            print(json.dumps(doc, indent=2, allow_nan=False))
+            doc = {"error": "not-reducible", "residual": json.loads(serialize_matrix(exc.residual))}
+            _print_document(doc, exc.trace, pm, config)
         else:
             print(f"error: {exc}", file=sys.stderr)
             print("residual matrix:", file=sys.stderr)
@@ -214,7 +205,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
                   file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
     if machine:
-        print(json.dumps(_solution_doc(solution, pm, config), indent=2, allow_nan=False))
+        _print_document(_solution_doc(solution), solution.trace, pm, config)
     else:
         _render_solution(solution, pm, args.trace)
     return EXIT_OK
@@ -223,12 +214,8 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
 def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     result = reduce_dominance(pm, config)
     if args.format == "machine":
-        doc = {
-            "matrix": json.loads(serialize_matrix(result.residual)),
-            "trace": [_step_doc(s, pm) for s in result.trace],
-            "config": _config_doc(config),
-        }
-        print(json.dumps(doc, indent=2, allow_nan=False))
+        doc = {"matrix": json.loads(serialize_matrix(result.residual))}
+        _print_document(doc, result.trace, pm, config)
     else:
         print(serialize_matrix(result.residual), end="")
         if args.trace:
@@ -270,9 +257,9 @@ def _render_report(report: OracleReport) -> None:
     print(f"pipeline value center: {_exact_str(report.solution_center)}")
     print(f"value match:  {mark(report.value_match)}")
     print(f"x guarantee:  {mark(report.x_guarantee)}"
-          f" (worst column payoff {float(report.x_floor)})")
+          f" (worst column payoff {_exact_str(report.x_floor)})")
     print(f"y guarantee:  {mark(report.y_guarantee)}"
-          f" (best row payoff {float(report.y_ceiling)})")
+          f" (best row payoff {_exact_str(report.y_ceiling)})")
 
 
 def cmd_check(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
@@ -311,7 +298,9 @@ def _add_game_command(commands, name, help, read, func, *, pipeline=False, outpu
                               " (default %(default)s)")
         sub.add_argument("--attitude", choices=[a.value for a in Attitude],
                          default=defaults.attitude.value,
-                         help="tie-break attitude for equal centers (default %(default)s)")
+                         help="tie-break between saddle cells of equal center, in the game"
+                              " and in each 2x2 sub-game; tied sub-game values always go"
+                              " to the smaller spread (default %(default)s)")
         sub.add_argument("--spread-convention", choices=[c.value for c in SpreadConvention],
                          default=defaults.convention.value,
                          help="how the value spread is derived (default %(default)s)")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -247,6 +248,57 @@ class TestMachineDocuments:
         assert doc["config"]["threshold"] == "Infinity"
 
 
+def _reads_back(token, exact):
+    """Table mode's token for an exact number maps back to it: n, n/d (dec) or dec."""
+    number, paren, decimal = token.partition(" (")
+    if paren:
+        assert "/" in number, f"{token!r} prints one decimal twice"
+        assert F(number) == exact and float(decimal.removesuffix(")")) == float(exact)
+        return "fraction"
+    if number.lstrip("-").isdigit():
+        assert int(number) == exact
+        return "integer"
+    assert exact.denominator > 10**6 and float(number) == float(exact)
+    return "decimal"
+
+
+class TestTableOutput:
+    """Table mode prints each number once, and every token reads back to the exact number."""
+
+    @pytest.mark.parametrize("convention", ["expected", "endpoint"])
+    def test_numbers_read_back_exactly(self, write_game, capsys, convention):
+        rng = random.Random(2029)
+        centers = (lambda: rng.randint(-9, 9), lambda: rng.randint(-90, 90) / 10,
+                   lambda: rng.uniform(-9, 9))
+        spreads = (lambda: 0, lambda: rng.uniform(0, 0.5))
+        forms, solved = set(), 0
+        for k in range(150):
+            center, spread = centers[k % 3], spreads[k // 3 % 2]
+            m, n = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+            pm = PayoffMatrix.of([[(center(), spread()) for _ in range(n)] for _ in range(m)])
+            try:
+                sol = solve_pipeline(pm, PipelineConfig(convention=SpreadConvention(convention)))
+            except NotReducibleError:
+                continue
+            code = main(["solve", write_game(pm), "--spread-convention", convention])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0
+            for line, labels, mix in ((lines[1], pm.row_labels, sol.x),
+                                      (lines[2], pm.col_labels, sol.y)):
+                tokens = re.findall(r"(\S+)=(\S+(?: \(\S+\))?)(?: |$)", line[3:])
+                assert [label for label, _ in tokens] == list(labels)
+                for (_, token), p in zip(tokens, mix):
+                    forms.add(_reads_back(token, p))
+            assert lines[3].startswith("value: <") and lines[3].endswith(">")
+            value = lines[3][len("value: <"):-1].split(", ")
+            assert len(value) == 2
+            forms.add(_reads_back(value[0], F(sol.value.center)))
+            forms.add(_reads_back(value[1], F(sol.value.spread)))
+            solved += 1
+        assert solved >= 50
+        assert forms == {"integer", "fraction", "decimal"}
+
+
 class TestRank:
     def test_partial_dominance(self, capsys):
         code = main(["rank", "0.3,0.5", "0.4,0.5"])
@@ -376,6 +428,9 @@ class TestCheck:
         else:
             assert f"oracle value center:   {exact}" in out
             assert f"pipeline value center: {exact}" in out
+            # The 2x2 mix is fully mixed, so each guarantee payoff is the value itself.
+            assert f"x guarantee:  ok (worst column payoff {exact.rstrip()})" in out
+            assert f"y guarantee:  ok (best row payoff {exact.rstrip()})" in out
 
 
 NON_FINITE_GAMES = {
