@@ -16,6 +16,7 @@ and stdout carries a single JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -310,7 +311,13 @@ def _add_game_command(commands, name, help, read, func, *, pipeline=False, outpu
     sub.set_defaults(read=read, func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, on first use, and then reused.
+
+    It is not built at import, which stays cheap.  Parsing leaves the parser
+    as it was: each call gets a fresh namespace and reads ``sys.stderr`` anew.
+    """
     parser = _Parser(
         prog="fuzzygame",
         description="Solve two-person zero-sum games with symmetric trapezoidal fuzzy payoffs.",

@@ -17,9 +17,9 @@ exactly as parsed (no rounding), so serialize/parse round-trips bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -145,14 +145,22 @@ class PayoffMatrix:
         return tuple(tuple(e.center for e in row) for row in self.entries)
 
     @cached_property
-    def exact_centers(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The centers as exact rationals, converted on first use and kept."""
-        return tuple(tuple(Fraction(e.center) for e in row) for row in self.entries)
+    def center_scale(self) -> int:
+        """The lcm of the center denominators: the least positive int making every center whole."""
+        return math.lcm(*(e.center.as_integer_ratio()[1] for row in self.entries for e in row))
 
     @cached_property
-    def dual_centers(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The column player's game: row j is column j of ``exact_centers`` negated, kept."""
-        return tuple(tuple(-c for c in col) for col in zip(*self.exact_centers))
+    def scaled_centers(self) -> tuple[tuple[int, ...], ...]:
+        """Each center times :attr:`center_scale`, as an exact int, computed on first use and kept.
+
+        The scale is positive, so every sign, order and ratio of differences
+        of the centers is the same on this grid.
+        """
+        scale = self.center_scale
+        return tuple(
+            tuple(num * (scale // den) for num, den in (e.center.as_integer_ratio() for e in row))
+            for row in self.entries
+        )
 
 
 def parse_matrix(text: str) -> PayoffMatrix:

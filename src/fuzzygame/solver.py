@@ -10,10 +10,12 @@ enumeration of its 2x2 sub-games.  Anything larger is reported as not
 reducible by this method.
 
 The minimizing column player of a game is the maximizing row player of its
-negated transpose, which exists only as the exact grid
-:attr:`PayoffMatrix.dual_centers`.  So each test is written once: plain column
-dominance is the row test on two columns with their order swapped, and convex
-column dominance and the column player's guarantee run the row versions on it.
+negated transpose.  So each test is written once: plain column dominance is
+the row test on two columns with their order swapped, and convex column
+dominance and the column player's guarantee run the row versions on the
+columns of :attr:`PayoffMatrix.scaled_centers`, negated in place.  That
+integer grid is the centers times the lcm of their denominators; a positive
+scale keeps every comparison the convex test and the guarantee make.
 
 Mixed strategies and value centers are computed in exact rational
 arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
@@ -21,11 +23,12 @@ arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fuzzy import Attitude, Choice, FuzzyNum, dominance_index, prefer_max, prefer_min
 # Unused here (_evidence calls dominance_index on the entries' own numbers),
@@ -271,37 +274,64 @@ def _blends(
     )
 
 
-def _first_feasible(
-    centers: tuple[tuple[Fraction, ...], ...], p: int, q: int, s: int, betas: tuple[float, ...]
-) -> float | None:
-    """First grid point ``beta`` whose blend of rows ``p`` and ``q`` covers row ``s``.
+@functools.lru_cache(maxsize=64)
+def _exact_grid(betas: tuple[float, ...]) -> tuple[tuple[int, int], ...]:
+    # Each coefficient as an exact (num, den), checked and converted once per
+    # grid.  Equal grids share an entry ((1,) and (1.0,) hash alike), so it
+    # holds only the numbers, never the caller's coefficient objects; a grid
+    # that fails the check raises on every call and is not kept.
+    _check_coefficients(betas)
+    return tuple(Fraction(beta).as_integer_ratio() for beta in betas)
 
-    Per column that is ``beta * d >= r`` with ``d = c_pj - c_qj`` and
-    ``r = c_sj - c_qj``.  Each constraint bounds ``beta`` from one side (or,
-    when ``d == 0``, holds for every ``beta`` or for none), so together they
-    cut out one interval ``lo <= beta <= hi`` whose ends may be open-ended.
-    It is found in one exact pass that stops as soon as it is empty; then
-    the grid is scanned, in the caller's order, for the first point inside
-    it.  Returns None when there is none.
+
+def _lines(pm: PayoffMatrix, axis: Axis, p: int, q: int, s: int) -> Iterable[tuple[int, int, int]]:
+    """Entry by entry, lines p, q and s of the maximizer's game on ``axis``.
+
+    Rows are rows of :attr:`PayoffMatrix.scaled_centers`.  The minimizing
+    column player is the maximizer of the negated transpose, read in place:
+    column j of the same ints, negated.
     """
-    lo = hi = None
-    for cp, cq, cs in zip(centers[p], centers[q], centers[s]):
+    c = pm.scaled_centers
+    if axis is Axis.ROW:
+        return zip(c[p], c[q], c[s])
+    return ((-row[p], -row[q], -row[s]) for row in c)
+
+
+def _first_feasible(
+    lines: Iterable[tuple[int, int, int]], betas: tuple[float, ...]
+) -> float | None:
+    """First grid point ``beta`` whose blend of lines ``p`` and ``q`` covers line ``s``.
+
+    ``lines`` gives ``(c_pj, c_qj, c_sj)`` per entry.  Per entry that is
+    ``beta * d >= r`` with ``d = c_pj - c_qj`` and ``r = c_sj - c_qj``.
+    Each constraint bounds ``beta`` from one side (or, when ``d == 0``, holds
+    for every ``beta`` or for none), so together they cut out one interval
+    ``lo <= beta <= hi``.  It is found in one exact pass that stops as soon
+    as it is empty; then the grid is scanned, in the caller's order, for the
+    first point inside it, and that point is returned as the caller gave it.
+    Returns None when there is none.
+
+    Each end is a fraction ``(num, den)`` with ``den >= 0``, compared by
+    cross-multiplication; ``(-1, 0)`` and ``(1, 0)`` stand for the open ends
+    -inf and +inf, which that comparison orders correctly against every
+    fraction with ``den > 0``.
+    """
+    grid = _exact_grid(tuple(betas))
+    lo_n, lo_d, hi_n, hi_d = -1, 0, 1, 0
+    for cp, cq, cs in lines:
         d, r = cp - cq, cs - cq
         if d > 0:
-            bound = r / d
-            if lo is None or bound > lo:
-                lo = bound
+            if r * lo_d > lo_n * d:  # r/d > lo
+                lo_n, lo_d = r, d
         elif d < 0:
-            bound = r / d
-            if hi is None or bound < hi:
-                hi = bound
+            if r * hi_d > hi_n * d:  # r/d < hi, written as -r/-d
+                hi_n, hi_d = -r, -d
         elif r > 0:
             return None
-        if lo is not None and hi is not None and lo > hi:
+        if lo_n * hi_d > hi_n * lo_d:
             return None
-    for beta in betas:
-        bf = Fraction(beta)
-        if (lo is None or lo <= bf) and (hi is None or bf <= hi):
+    for (num, den), beta in zip(grid, betas):
+        if lo_n * den <= num * lo_d and num * hi_d <= hi_n * den:
             return beta
     return None
 
@@ -316,13 +346,13 @@ def convex_row_dominates(
     virtual row must be entrywise at least row s on centers (equality
     everywhere counts, since the blend makes row s redundant).  Per column
     that is ``beta * (c_pj - c_qj) >= c_sj - c_qj``, so the coefficients that
-    work form one exact interval; the first grid point inside it is the
-    answer, and only its blend is built, for the evidence.  Every
+    work form one exact interval, found on the integer grid
+    :attr:`PayoffMatrix.scaled_centers`; the first grid point inside it is
+    the answer, and only its blend is built, for the evidence.  Every
     coefficient must lie in [0, 1].
     """
     _check_index(pm, Axis.ROW, p, q, s)
-    _check_coefficients(betas)
-    beta = _first_feasible(pm.exact_centers, p, q, s, betas)
+    beta = _first_feasible(_lines(pm, Axis.ROW, p, q, s), betas)
     if beta is None:
         return None
     return beta, _evidence(pm.row(s), _blends(pm.row(p), pm.row(q), beta))
@@ -334,15 +364,15 @@ def convex_col_dominates(
     """Mirror of :func:`convex_row_dominates` in the sense of minimization.
 
     Per row the blend must stay at most column s, that is
-    ``alpha * (c_iq - c_ip) >= c_iq - c_is``: the row test on
-    :attr:`PayoffMatrix.dual_centers`, the negated transpose, which gives the
-    reversed inequality exactly.  The evidence is read on this game's own
+    ``alpha * (c_iq - c_ip) >= c_iq - c_is``: the row test on the negated
+    transpose, read in place as the columns of
+    :attr:`PayoffMatrix.scaled_centers` negated, which gives the reversed
+    inequality exactly.  The evidence is read on this game's own
     columns, the blend below column s, as for plain column dominance; on
     negated centers, an index of -0.0 at a center of -0.0 would lose its sign.
     """
     _check_index(pm, Axis.COL, p, q, s)
-    _check_coefficients(alphas)
-    alpha = _first_feasible(pm.dual_centers, p, q, s, alphas)
+    alpha = _first_feasible(_lines(pm, Axis.COL, p, q, s), alphas)
     if alpha is None:
         return None
     return alpha, _evidence(_blends(pm.col(p), pm.col(q), alpha), pm.col(s))
@@ -384,7 +414,7 @@ def solve_2x2(
     if saddle is not None:
         return _saddle_solution(pm, saddle)
 
-    solved = _closed_form(pm.exact_centers)
+    solved = _closed_form([[Fraction(e.center) for e in row] for row in pm.entries])
     if solved is None:
         raise RuntimeError("internal consistency: no saddle point yet D == 0")
     x, y, center = solved
@@ -530,7 +560,8 @@ def _first_deletion(
 
 
 def _blend_label(beta: float, first: str, second: str) -> str:
-    return f"{beta:g}*{first} + {1 - beta:g}*{second}"
+    # Through float, so that a Fraction coefficient formats on every Python version.
+    return f"{float(beta):g}*{first} + {float(1 - beta):g}*{second}"
 
 
 def solve_pipeline(pm: PayoffMatrix, config: PipelineConfig | None = None) -> Solution:
@@ -602,27 +633,30 @@ def _repaired_subgame_solution(
     pure strategy for the OTHER player can fail against strategies outside
     the pair (this needs tied sub-game values).  In that case the strategy
     is borrowed from another enumerated sub-game that does satisfy the
-    guarantee; such a donor always exists.  The column player's guarantee
-    is checked as the row player's on ``dual_centers``, against -value.
+    guarantee; such a donor always exists.  The check runs on
+    :attr:`PayoffMatrix.scaled_centers` against the value times
+    :attr:`PayoffMatrix.center_scale`; the column player's guarantee is the
+    row player's on the negated transpose, read in place, against -value.
     """
     solution = chosen.solution
-    value = Fraction(solution.value.center)
+    value = Fraction(solution.value.center) * work.center_scale
+    scaled = work.scaled_centers
     if enum.axis is Axis.COL:
-        other, centers = "x", work.exact_centers
+        other, against = "x", list(zip(*scaled))
     else:
-        other, centers, value = "y", work.dual_centers, -value
+        other, against, value = "y", [[-c for c in row] for row in scaled], -value
     for cand in (chosen, *enum.candidates):
         mix = getattr(cand.solution, other)
-        if _guarantees(centers, mix, value):
+        if _guarantees(against, mix, value):
             return solution if cand is chosen else replace(solution, **{other: mix})
     raise RuntimeError("internal consistency: no enumerated sub-game passes the guarantee")
 
 
 def _guarantees(
-    centers: Sequence[Sequence[Fraction]], x: tuple[Fraction, ...], value: Fraction
+    against: Sequence[Sequence[int]], x: tuple[Fraction, ...], value: Fraction
 ) -> bool:
-    # x mixes the rows of centers; every column must pay the maximizer at least value.
-    return all(sum(p * c for p, c in zip(x, col)) >= value for col in zip(*centers))
+    # x mixes the entries of each opposing line; every line must pay the maximizer at least value.
+    return all(sum(p * c for p, c in zip(x, line)) >= value for line in against)
 
 
 def _expected(

@@ -22,7 +22,7 @@ from fuzzygame import (
     serialize_matrix,
     solve_pipeline,
 )
-from fuzzygame.cli import main
+from fuzzygame.cli import build_parser, main
 
 
 @pytest.fixture
@@ -539,3 +539,45 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert f"at most {MAX_BETA_STEPS}" in captured.err
+
+
+class TestParserReuse:
+    """One parser serves every call of a process and carries nothing between them."""
+
+    CALLS = [
+        ["solve", "{game}", "--threshold", "abc"],
+        ["solve", "{game}", "--threshold", "1", "--beta-steps", "5"],
+        ["solve", "{game}"],
+        ["check", "{game}"],
+        ["rank", "0.3,0.5", "0.4,0.5", "--attitude", "optimistic"],
+        ["rank", "0.3,0.5", "0.4,0.5"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_each_call_matches_a_fresh_parser(self, write_game, simulation_3x4, capsys):
+        path = write_game(simulation_3x4)
+        calls = [[path if arg == "{game}" else arg for arg in argv] for argv in self.CALLS]
+        reused = [self._run(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 0]
+        assert "pessimistic" in reused[-1][1] and "optimistic" in reused[-2][1]
+
+    def test_built_once_and_not_at_import(self):
+        assert build_parser() is build_parser()
+        src = os.path.dirname(os.path.dirname(fuzzygame.__file__))
+        probe = "import fuzzygame.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == "0\n", proc.stderr

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -149,13 +150,71 @@ def test_coefficients_outside_unit_interval_are_refused():
         solve_pipeline(pm, PipelineConfig(betas=(0.5, 1)))
 
 
-def test_exact_centers_built_only_by_convex_tests(dominance_3x3, convex_3x3):
-    # Plain dominance never needs the rational view of the centers.
+def test_scaled_centers_built_only_by_convex_tests(dominance_3x3, convex_3x3):
+    # Plain dominance never needs the integer grid of the centers.
     reduce_dominance(dominance_3x3)
-    assert "exact_centers" not in vars(dominance_3x3)
-    assert "dual_centers" not in vars(dominance_3x3)
+    assert "scaled_centers" not in vars(dominance_3x3)
     convex_row_dominates(convex_3x3, 1, 2, 0)
-    assert "exact_centers" in vars(convex_3x3)
+    assert "scaled_centers" in vars(convex_3x3)
+    columns_only = PayoffMatrix.of([[(0.5, 0.1), (1 / 3, 0), (-2, 0.2)]])
+    convex_col_dominates(columns_only, 0, 1, 2)
+    grid = columns_only.scaled_centers
+    scale = columns_only.center_scale
+    assert grid is columns_only.scaled_centers
+    assert scale == math.lcm(2, Fraction(1 / 3).denominator)
+    assert grid == (tuple(Fraction(c) * scale for c in (0.5, 1 / 3, -2)),)
+    assert all(type(c) is int for c in grid[0])
+
+
+def test_fraction_coefficient_labels_as_its_float(convex_3x3):
+    # A Fraction has no "g" format before Python 3.12; the label goes
+    # through float, so it reads as the equal float's does.
+    want = reduce_dominance(convex_3x3, PipelineConfig(betas=(0.5,)))
+    got = reduce_dominance(convex_3x3, PipelineConfig(betas=(Fraction(1, 2),)))
+    assert got.trace[0].dominator == "0.5*A2 + 0.5*A3"
+    assert repr(got.trace) == repr(want.trace)
+    assert solver._blend_label(1, "A1", "A2") == "1*A1 + 0*A2"
+    assert solver._blend_label(0.35, "A1", "A2") == "0.35*A1 + 0.65*A2"
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_grid_cache_returns_the_callers_coefficient(order):
+    # (1,), (1.0,) and (Fraction(1),) are equal tuples with one cache entry;
+    # each caller still gets its own coefficient object back.
+    grids = ((1,), (1.0,), (Fraction(1),))
+    rows = PayoffMatrix.of([[(1, 0.1)] * 2, [(1, 0.2)] * 2, [(1, 0.3)] * 2])
+    cols = PayoffMatrix.of([[(1, 0.1), (1, 0.2), (1, 0.3)]] * 2)
+    solver._exact_grid.cache_clear()
+    for k in order:
+        grid = grids[k]
+        assert repr(convex_row_dominates(rows, 1, 0, 2, grid)[0]) == repr(grid[0])
+        assert repr(convex_col_dominates(cols, 1, 0, 2, grid)[0]) == repr(grid[0])
+    assert solver._exact_grid.cache_info().currsize == 1
+
+
+EXTREME_CENTERS = (5e-324, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3)
+
+
+@pytest.mark.parametrize("grid", [beta_grid(21), beta_grid(3), GRIDS["custom"]],
+                         ids=["21-point", "3-point", "out-of-order"])
+def test_matches_grid_scan_on_extreme_floats(grid):
+    # 5e-324 has denominator 2**1074, so the integer grid's scale reaches it
+    # while 1.8e308 sits in the same game.
+    rng = random.Random(1074)
+    kinds = collections.Counter()
+    for _ in range(24):
+        pm = _random_matrix(rng, rng.randint(3, 4), rng.randint(3, 4),
+                            lambda rng: rng.choice(EXTREME_CENTERS))
+        kinds["scale 2**1074"] += pm.center_scale == 2**1074
+        for p, q, s in itertools.permutations(range(pm.rows), 3):
+            got = convex_row_dominates(pm, p, q, s, grid)
+            assert repr(got) == repr(reference_convex_row(pm, p, q, s, grid)), (pm, p, q, s)
+            kinds["miss" if got is None else "hit"] += 1
+        for p, q, s in itertools.permutations(range(pm.cols), 3):
+            got = convex_col_dominates(pm, p, q, s, grid)
+            assert repr(got) == repr(reference_convex_col(pm, p, q, s, grid)), (pm, p, q, s)
+            kinds["miss" if got is None else "hit"] += 1
+    assert kinds["hit"] > 0 and kinds["miss"] > 0 and kinds["scale 2**1074"] > 0
 
 
 def test_reduce_dominance_calls_through_module_attributes(convex_3x3, monkeypatch):

@@ -36,7 +36,7 @@ from fuzzygame import (
     solve_pipeline,
     submatrix,
 )
-from fuzzygame.solver import Solution, _assert_expected_payoff
+from fuzzygame.solver import Solution, _assert_expected_payoff, _lines
 
 
 def random_matrix(rng, m, n, lo=-20, hi=20, max_spread=0.5):
@@ -613,11 +613,18 @@ class TestColumnPlayerIsRowPlayerOfDual:
         assert alpha == 0.5
         assert math.copysign(1, evidence[0]) == -1 and evidence[0] == 0
 
-    def test_dual_centers_are_the_negated_transpose(self, simulation_3x4):
+    def test_column_view_is_the_negated_transpose(self, simulation_3x4):
+        # Convex column tests read column j of the row player's integer grid,
+        # negated: exactly the rows of the negated transpose's grid.
         rng = random.Random(2718)
         drawn = [PayoffMatrix.of([[(center(rng), 0.1) for _ in range(4)] for _ in range(3)])
                  for center in DUALITY_CENTERS.values()]
         for pm in (simulation_3x4, *drawn):
-            dual = pm.dual_centers
-            assert dual == negated_transpose(pm).exact_centers
-            assert dual is pm.dual_centers
+            dual = negated_transpose(pm)
+            assert dual.center_scale == pm.center_scale
+            for p, q, s in itertools.permutations(range(pm.cols), 3):
+                assert list(_lines(pm, Axis.COL, p, q, s)) == list(_lines(dual, Axis.ROW, p, q, s))
+            assert pm.scaled_centers is pm.scaled_centers
+            assert pm.scaled_centers == tuple(
+                tuple(F(e.center) * pm.center_scale for e in row) for row in pm.entries
+            )
