@@ -64,6 +64,26 @@ class TestOracleValue:
         assert oracle_value(identity_9x9).value == F(1, 9)
 
 
+class TestCenterGameCells:
+    def test_int_cells_give_exact_fractions(self):
+        sol = oracle_value(CenterGame(((1, 2), (3, 0))))
+        assert sol.value == F(3, 2)
+        assert sol.x == (F(3, 4), F(1, 4))
+        assert all(type(v) is F for v in (sol.value, *sol.x, *sol.y))
+
+    def test_float_cells_equal_their_exact_fractions(self):
+        rows = ((0.5, 2.0), (3.0, 0.1))
+        assert CenterGame(rows) == CenterGame.of(rows)
+        assert oracle_value(CenterGame(rows)) == oracle_value(CenterGame.of(rows))
+
+    @pytest.mark.parametrize("cell", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_cells_are_refused(self, cell):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            CenterGame.of([[cell]])
+        with pytest.raises(ValueError, match="is not a finite number"):
+            CenterGame(((1, 2), (3, cell)))
+
+
 class TestOracleProperties:
     def test_role_swap_negates_value(self):
         rng = random.Random(808)

@@ -1,13 +1,20 @@
-"""The simplex oracle against the kernel enumeration it replaced."""
+"""The integer simplex oracle against two exact references.
+
+The references are the kernel enumeration that preceded the simplex and
+the simplex as first written, on ``Fraction`` entries.  The integer oracle
+must reach the very pair of strategies the ``Fraction`` simplex reaches,
+because both make the same pivots.
+"""
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from fuzzygame import CenterGame, oracle_value
+from fuzzygame import CenterGame, oracle_check, oracle_value, solve_pipeline
 
 
 def _det(mat):
@@ -89,9 +96,66 @@ def certified(grid, x, y, value):
     )
 
 
-def assert_matches_reference(rows):
+def fraction_simplex(g):
+    """``(value, x, y)`` by Bland's simplex on ``Fraction`` entries; the pre-integer oracle."""
+    m, n = len(g), len(g[0])
+    shift = 1 - math.floor(min(min(row) for row in g))
+    zero, one = Fraction(0), Fraction(1)
+    # Columns 0..n-1 hold u, n..n+m-1 the slacks, the last one the right-hand side.
+    tableau = [
+        [g[i][j] + shift for j in range(n)]
+        + [one if k == i else zero for k in range(m)]
+        + [one]
+        for i in range(m)
+    ]
+    objective = [-one] * n + [zero] * (m + 1)  # reduced costs, then sum(u)
+    basis = list(range(n, n + m))
+    while (enter := next((c for c in range(n + m) if objective[c] < 0), None)) is not None:
+        # Smallest ratio; ties go to the lowest-indexed basic variable.
+        _, _, leave = min(
+            (row[-1] / row[enter], basis[r], r)
+            for r, row in enumerate(tableau)
+            if row[enter] > 0
+        )
+        p = tableau[leave][enter]
+        pivot = tableau[leave] = [a / p if a else a for a in tableau[leave]]
+        support = [c for c, a in enumerate(pivot) if a]
+        for row in (*tableau, objective):
+            factor = row[enter]
+            if factor and row is not pivot:
+                for c in support:
+                    row[c] -= factor * pivot[c]
+        basis[leave] = enter
+    scale = 1 / objective[-1]  # value of the shifted game
+    y = [zero] * n
+    for r, var in enumerate(basis):
+        if var < n:
+            y[var] = tableau[r][-1] * scale
+    x = [objective[n + i] * scale for i in range(m)]
+    value = scale - shift
+    assert certified(g, x, y, value)
+    return value, tuple(x), tuple(y)
+
+
+def fraction_floor_ceiling(g, x, y):
+    """The worst column payoff under ``x`` and the best row payoff under ``y``, on ``Fraction``s."""
+    m, n = len(g), len(g[0])
+    floor = min(sum(x[i] * g[i][j] for i in range(m)) for j in range(n))
+    ceiling = max(sum(g[i][j] * y[j] for j in range(n)) for i in range(m))
+    return floor, ceiling
+
+
+def assert_same_pivots(rows):
+    """The integer oracle returns the ``Fraction`` simplex's value and strategies exactly."""
     game = CenterGame.of(rows)
     sol = oracle_value(game)
+    assert (sol.value, sol.x, sol.y) == fraction_simplex(game.grid)
+    assert all(type(v) is Fraction for v in (sol.value, *sol.x, *sol.y))
+    return game, sol
+
+
+def assert_matches_reference(rows):
+    game, sol = assert_same_pivots(rows)
     assert sol.value == reference_value(game.grid)
     assert certified(game.grid, sol.x, sol.y, sol.value)
     assert oracle_value(CenterGame.of(rows)) == sol  # deterministic
@@ -145,3 +209,31 @@ def test_degenerate_games():
 )
 def test_small_int_games_match_kernel_enumeration(rows):
     assert_matches_reference(rows)
+
+
+def test_seeded_games_up_to_12x12_match_fraction_simplex():
+    rng = random.Random(1212)
+    centers = (
+        lambda: rng.randint(-20, 20),  # integer
+        lambda: rng.randint(-200, 200) / 10,  # tenths: binary floats, large denominators
+        lambda: rng.uniform(-20, 20),  # arbitrary floats
+    )
+    for k in range(90):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        center = centers[k % 3]
+        assert_same_pivots([[center() for _ in range(n)] for _ in range(m)])
+
+
+def test_24x24_tenths_game_matches_fraction_simplex():
+    rng = random.Random(2424)
+    assert_same_pivots([[rng.randint(-200, 200) / 10 for _ in range(24)] for _ in range(24)])
+
+
+def test_check_payoffs_match_fraction_floor_ceiling(planted_game):
+    for m in range(9, 17):
+        for n in range(9, 17):
+            pm = planted_game(m * 100 + n, m, n)
+            sol = solve_pipeline(pm)
+            report = oracle_check(pm, sol)
+            grid = CenterGame.from_payoff(pm).grid
+            assert (report.x_floor, report.y_ceiling) == fraction_floor_ceiling(grid, sol.x, sol.y)
