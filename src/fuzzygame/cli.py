@@ -299,12 +299,13 @@ def _add_game_command(commands, name, help, read, func, *, pipeline=False, outpu
                               " (default %(default)s)")
         sub.add_argument("--attitude", choices=[a.value for a in Attitude],
                          default=defaults.attitude.value,
-                         help="tie-break between saddle cells of equal center, in the game"
-                              " and in each 2x2 sub-game; tied sub-game values always go"
-                              " to the smaller spread (default %(default)s)")
+                         help="tie-break between saddle cells of equal center, in the game and in"
+                              " each 2x2 sub-game; tied sub-game values always go to the smaller"
+                              " spread; reduce does not use it (default %(default)s)")
         sub.add_argument("--spread-convention", choices=[c.value for c in SpreadConvention],
                          default=defaults.convention.value,
-                         help="how the value spread is derived (default %(default)s)")
+                         help="how the value spread is derived; reduce does not use it"
+                              " (default %(default)s)")
     if output:
         sub.add_argument("--format", choices=["table", "machine"], default="table")
         sub.add_argument("--trace", action="store_true", help="show every reduction step")

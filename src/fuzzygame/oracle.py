@@ -170,10 +170,8 @@ def oracle_value(game: CenterGame) -> OracleSolution:
             if row is pivot:
                 continue
             factor = row[enter]
-            if factor:
+            if factor or p != d:
                 row[:] = [(a * p - factor * b) // d for a, b in zip(row, pivot)]
-            elif p != d:
-                row[:] = [a * p // d for a in row]
         d = p
         basis[leave] = enter
     total = objective[-1]  # sum(u) of the rational tableau, times d

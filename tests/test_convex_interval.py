@@ -62,6 +62,8 @@ GRIDS = {
     "3-point": beta_grid(3),
     "21-point": beta_grid(21),
     "custom": (0.75, 0.35, 1, 0.25, 0.6, 0, 0.9, 0.1, 0.5),
+    "1-not-0": (1, 0.5, 0.25),
+    "inner": (0.9, Fraction(1, 3), 0.1, 0.5),
 }
 
 
@@ -74,29 +76,59 @@ def _random_matrix(rng, rows, cols, center):
     ])
 
 
-CENTERS = {
+def _random_games(center):
+    def games(rng):
+        return [_random_matrix(rng, rng.randint(3, 5), rng.randint(3, 5), center)
+                for _ in range(15)]
+    return games
+
+
+# Lines p = (2, 0) and q = (0, 2) blend to (2b, 2 - 2b).  The coefficients b
+# whose blend covers each s below form the interval in its comment: beyond
+# or at an end of [0, 1], or, as a control, strictly inside it.
+BOUNDARY_LINES = {
+    "above 1": ((2, 0), (0, 2), (3, -2)),  # [3/2, 2]
+    "below 0": ((2, 0), (0, 2), (-2, 3)),  # [-1, -1/2]
+    "at 0": ((2, 0), (0, 2), (-1, 2)),  # [-1/2, 0]
+    "at 1": ((2, 0), (0, 2), (2, -1)),  # [1, 3/2]
+    "inside": ((2, 0), (0, 2), (0.5, 0.5)),  # [1/4, 3/4]
+}
+
+
+def _boundary_games(rng):
+    # Each case as rows, crisp and fuzzy, and as the columns of the negated
+    # transpose, where the column test meets the same interval.
+    games = []
+    for lines in BOUNDARY_LINES.values():
+        for spread in (0, 0.1):
+            games.append(PayoffMatrix.of([[(c, spread) for c in line] for line in lines]))
+            games.append(PayoffMatrix.of([[(-c, spread) for c in col] for col in zip(*lines)]))
+    return games
+
+
+GAMES = {
     # A narrow integer range makes ties and exact boundary hits common.
-    "small-int": lambda rng: rng.randint(-3, 3),
-    "int": lambda rng: rng.randint(-20, 20),
-    "tenths": lambda rng: rng.randint(-30, 30) / 10,
+    "small-int": _random_games(lambda rng: rng.randint(-3, 3)),
+    "int": _random_games(lambda rng: rng.randint(-20, 20)),
+    "tenths": _random_games(lambda rng: rng.randint(-30, 30) / 10),
+    "boundary": _boundary_games,
 }
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-@pytest.mark.parametrize("center", CENTERS.values(), ids=CENTERS.keys())
-def test_matches_grid_scan(grid, center):
+@pytest.mark.parametrize("games", GAMES.values(), ids=GAMES.keys())
+def test_matches_grid_scan(grid, games):
     rng = random.Random(20130707)
     kinds = collections.Counter()
-    for _ in range(15):
-        pm = _random_matrix(rng, rng.randint(3, 5), rng.randint(3, 5), center)
+    for pm in games(rng):
         for p, q, s in itertools.permutations(range(pm.rows), 3):
-            want = reference_convex_row(pm, p, q, s, grid)
-            assert convex_row_dominates(pm, p, q, s, grid) == want, (pm, p, q, s)
-            kinds["miss" if want is None else "hit"] += 1
+            got = convex_row_dominates(pm, p, q, s, grid)
+            assert repr(got) == repr(reference_convex_row(pm, p, q, s, grid)), (pm, p, q, s)
+            kinds["miss" if got is None else "hit"] += 1
         for p, q, s in itertools.permutations(range(pm.cols), 3):
-            want = reference_convex_col(pm, p, q, s, grid)
-            assert convex_col_dominates(pm, p, q, s, grid) == want, (pm, p, q, s)
-            kinds["miss" if want is None else "hit"] += 1
+            got = convex_col_dominates(pm, p, q, s, grid)
+            assert repr(got) == repr(reference_convex_col(pm, p, q, s, grid)), (pm, p, q, s)
+            kinds["miss" if got is None else "hit"] += 1
     # Hits and misses must both occur for the comparison to mean anything.
     assert kinds["hit"] > 0 and kinds["miss"] > 0
 
