@@ -139,7 +139,33 @@ class PayoffMatrix:
         return self.entries[i]
 
     def col(self, j: int) -> tuple[FuzzyNum, ...]:
-        return tuple(row[j] for row in self.entries)
+        return self.columns[j]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[FuzzyNum, ...], ...]:
+        """The entries column by column (the transpose), computed on first use and kept."""
+        return tuple(zip(*self.entries))
+
+    def without(self, axis: Axis, pos: int) -> "PayoffMatrix":
+        """This matrix with line ``pos`` of ``axis`` left out, labels included.
+
+        The same matrix as :func:`submatrix` on every other index, built by
+        slicing one line out of this matrix's entries and labels.
+        """
+        size = self.rows if axis is Axis.ROW else self.cols
+        if not 0 <= pos < size:
+            raise SelectionError(f"{axis.value} {pos} out of range for size {size}")
+        if axis is Axis.ROW:
+            return PayoffMatrix(
+                self.entries[:pos] + self.entries[pos + 1:],
+                self.row_labels[:pos] + self.row_labels[pos + 1:],
+                self.col_labels,
+            )
+        return PayoffMatrix(
+            tuple([row[:pos] + row[pos + 1:] for row in self.entries]),
+            self.row_labels,
+            self.col_labels[:pos] + self.col_labels[pos + 1:],
+        )
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(e.center for e in row) for row in self.entries)

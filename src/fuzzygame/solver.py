@@ -4,7 +4,8 @@ The pipeline mirrors the classical recipe for rectangular zero-sum games:
 check for a pure saddle point on the centers, then repeatedly delete
 dominated strategies (plain row, plain column, convex-combination row,
 convex-combination column; first applicable deletion wins, rows before
-columns, lower indices first, rescanning after every deletion).  A 2x2
+columns, lower indices first; a scan resumes where it stopped unless the
+other axis lost a line, and so finds what a full rescan would).  A 2x2
 residual is solved in closed form; a 2xn or mx2 residual goes through
 enumeration of its 2x2 sub-games.  Anything larger is reported as not
 reducible by this method.
@@ -100,9 +101,12 @@ class Solution:
 
     def __post_init__(self) -> None:
         for name, vec in (("x", self.x), ("y", self.y)):
-            if any(p < 0 or p > 1 for p in vec):
+            # A vector is padded to the original game with exact zeros, which
+            # pass the range check and add nothing to the sum.
+            support = [p for p in vec if p]
+            if any(p < 0 or p > 1 for p in support):
                 raise ValueError(f"{name} is not a probability vector: {vec}")
-            if sum(vec) != 1:
+            if sum(support) != 1:
                 raise ValueError(f"{name} does not sum to 1: {vec}")
         for step in self.trace:
             if step.deleted is None:
@@ -226,8 +230,8 @@ def col_dominates(
     row test with column ``s`` on top of column ``j``.
     """
     _check_index(pm, Axis.COL, j, s)
-    rows = pm.entries
-    return _covers([row[s] for row in rows], [row[j] for row in rows], j < s, threshold)
+    columns = pm.columns
+    return _covers(columns[s], columns[j], j < s, threshold)
 
 
 def _covers(
@@ -503,54 +507,77 @@ class ReductionResult:
     col_ids: tuple[int, ...]
 
 
+# The axis each scan of _first_deletion deletes on: plain rows, plain
+# columns, convex rows, convex columns, tried in this order.
+_SCAN_AXES = (Axis.ROW, Axis.COL, Axis.ROW, Axis.COL)
+
+
 def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> ReductionResult:
     """Apply dominance deletions until none applies.
 
-    Each pass tries, in order: plain row dominance, plain column dominance,
-    convex-combination rows, convex-combination columns; within a pass the
-    lowest-index deletable strategy goes first and the scan restarts from
-    scratch after every deletion, so traces are reproducible.
+    Each round tries, in order: plain row dominance, plain column dominance,
+    convex-combination rows, convex-combination columns; the first scan
+    that finds a deletable strategy deletes the lowest-index one.
+
+    No scan starts over: each resumes at its start, below which every line
+    was tried on the current residual and is not deletable by it.  Deleting
+    line ``pos`` of an axis removes only dominators or pair members on that
+    axis and keeps the order of the rest (which settles exact ties; a
+    threshold reads only the two lines compared), so those lines stay
+    undeletable and a start above ``pos`` moves down one; scans of the
+    other axis lost a constraint and restart at 0.  Each round thus finds
+    the deletion a full rescan would, and the trace is the same.
     """
     config = config or PipelineConfig()
-    rows, cols = list(range(pm.rows)), list(range(pm.cols))  # original indices still kept
+    kept = {Axis.ROW: list(range(pm.rows)), Axis.COL: list(range(pm.cols))}  # original indices
+    starts = [0] * len(_SCAN_AXES)
     work = pm
     steps: list[ReductionStep] = []
-    while (hit := _first_deletion(work, config)) is not None:
+    while (hit := _first_deletion(work, config, starts)) is not None:
         kind, axis, pos, dominator, evidence = hit
-        kept = rows if axis is Axis.ROW else cols
-        steps.append(ReductionStep(kind, StrategyIndex(axis, kept.pop(pos)), dominator, evidence))
-        work = submatrix(pm, rows, cols)
-    return ReductionResult(work, tuple(steps), tuple(rows), tuple(cols))
+        deleted = StrategyIndex(axis, kept[axis].pop(pos))
+        steps.append(ReductionStep(kind, deleted, dominator, evidence))
+        work = work.without(axis, pos)
+        starts = [
+            start - (pos < start) if scan is axis else 0 for scan, start in zip(_SCAN_AXES, starts)
+        ]
+    return ReductionResult(work, tuple(steps), tuple(kept[Axis.ROW]), tuple(kept[Axis.COL]))
 
 
 def _first_deletion(
-    pm: PayoffMatrix, config: PipelineConfig
+    pm: PayoffMatrix, config: PipelineConfig, starts: list[int]
 ) -> tuple[StepKind, Axis, int, str, tuple[float, ...]] | None:
-    # The four public tests are looked up here, at call time, so that a
-    # wrapper installed on the module sees every call.
+    # Scan number ``scan`` (see _SCAN_AXES) runs from starts[scan] and leaves
+    # there the line it deletes, or the axis size when it finds none.  The
+    # four public tests are looked up here, at call time, so that a wrapper
+    # installed on the module sees every call.
     rows = (Axis.ROW, pm.rows, pm.row_labels)
     cols = (Axis.COL, pm.cols, pm.col_labels)
-    for kind, dominates, (axis, size, labels) in (
+    for scan, (kind, dominates, (axis, size, labels)) in enumerate((
         (StepKind.ROW_DOMINANCE, row_dominates, rows),
         (StepKind.COL_DOMINANCE, col_dominates, cols),
-    ):
-        for s in range(size):
+    )):
+        for s in range(starts[scan], size):
             for d in range(size):
                 if d != s:
                     evidence = dominates(pm, d, s, config.threshold)
                     if evidence is not None:
+                        starts[scan] = s
                         return kind, axis, s, labels[d], evidence
-    for kind, dominates, (axis, size, labels) in (
+        starts[scan] = size
+    for scan, (kind, dominates, (axis, size, labels)) in enumerate((
         (StepKind.CONVEX_ROW_DOMINANCE, convex_row_dominates, rows),
         (StepKind.CONVEX_COL_DOMINANCE, convex_col_dominates, cols),
-    ):
-        for s in range(size):
+    ), start=2):
+        for s in range(starts[scan], size):
             others = [k for k in range(size) if k != s]
             for p, q in itertools.combinations(others, 2):
                 hit = dominates(pm, p, q, s, config.betas)
                 if hit is not None:
                     beta, evidence = hit
+                    starts[scan] = s
                     return kind, axis, s, _blend_label(beta, labels[p], labels[q]), evidence
+        starts[scan] = size
     return None
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from fuzzygame import (
+    Axis,
     DuplicateLabelsError,
     EmptyMatrixError,
     FuzzyNum,
@@ -224,6 +225,43 @@ class TestSubmatrix:
         with pytest.raises(SelectionError) as info:
             submatrix(simulation_3x4, (0,), (0, 4))
         assert str(info.value) == "column selection [0, 4] out of range for 4 columns"
+
+
+class TestWithout:
+    @pytest.fixture
+    def labelled_4x5(self):
+        rng = random.Random(45)
+        return PayoffMatrix.of(
+            [[(rng.randint(-9, 9), rng.randint(0, 5) / 10) for _ in range(5)] for _ in range(4)],
+            row_labels=["top", "up", "down", "bottom"],
+            col_labels=["a", "b", "c", "d", "e"],
+        )
+
+    def test_equals_submatrix_of_the_kept_indices(self, labelled_4x5):
+        pm = labelled_4x5
+        for pos in range(pm.rows):
+            kept = [i for i in range(pm.rows) if i != pos]
+            assert pm.without(Axis.ROW, pos) == submatrix(pm, kept, range(pm.cols))
+        for pos in range(pm.cols):
+            kept = [j for j in range(pm.cols) if j != pos]
+            assert pm.without(Axis.COL, pos) == submatrix(pm, range(pm.rows), kept)
+        assert pm.without(Axis.ROW, 1).row_labels == ("top", "down", "bottom")
+        assert pm.without(Axis.COL, 4).col_labels == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize("axis, pos", [(Axis.ROW, 4), (Axis.ROW, -1), (Axis.COL, 5)])
+    def test_out_of_range(self, labelled_4x5, axis, pos):
+        with pytest.raises(SelectionError):
+            labelled_4x5.without(axis, pos)
+
+    def test_last_line_is_kept(self):
+        with pytest.raises(EmptyMatrixError):
+            PayoffMatrix.of([[(1, 0), (2, 0)]]).without(Axis.ROW, 0)
+
+    def test_columns_are_the_cached_transpose(self, labelled_4x5):
+        pm = labelled_4x5
+        assert pm.columns == tuple(zip(*pm.entries))
+        assert pm.columns is pm.columns
+        assert pm.col(2) == tuple(row[2] for row in pm.entries)
 
 
 class TestConstruction:

@@ -473,6 +473,19 @@ class TestExactInvariants:
                 SolutionKind.MIXED_2X2, (),
             )
 
+    @pytest.mark.parametrize("x, message", [
+        ((F(0), F(-1, 2), F(3, 2), F(0)), "x is not a probability vector"),
+        ((F(0), F(3, 2), F(0)), "x is not a probability vector"),
+        ((F(0), F(1, 2), F(1, 4), F(0)), "x does not sum to 1"),
+        ((F(0), F(0)), "x does not sum to 1"),
+    ])
+    def test_zero_padded_vectors_are_still_checked(self, x, message):
+        # The exact zeros of a padded vector are skipped; every other entry is not.
+        y = (F(0), F(1), F(0))
+        Solution((F(0), F(1), F(0)), y, FuzzyNum(0, 0), SolutionKind.MIXED_2X2, ())
+        with pytest.raises(ValueError, match=message):
+            Solution(x, y, FuzzyNum(0, 0), SolutionKind.MIXED_2X2, ())
+
     def test_expected_payoff_must_match_the_value_exactly(self, simulation_3x4):
         good = solve_pipeline(simulation_3x4)
         _assert_expected_payoff(simulation_3x4, good)
