@@ -127,6 +127,16 @@ def _solution_doc(solution: Solution) -> dict:
     }
 
 
+def _matrix_doc(pm: PayoffMatrix) -> dict:
+    # What json.loads makes of serialize_matrix(pm), built from pm itself:
+    # a parsed game holds only ints and floats, which json writes back the same.
+    return {
+        "rows": list(pm.row_labels),
+        "cols": list(pm.col_labels),
+        "entries": [[[e.center, e.spread] for e in row] for row in pm.entries],
+    }
+
+
 def _print_document(doc: dict, steps, pm: PayoffMatrix, config: PipelineConfig) -> None:
     # The only machine-mode writer: trace and config close every document.
     doc["trace"] = [_step_doc(s, pm) for s in steps]
@@ -196,7 +206,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
         solution = solve_pipeline(pm, config)
     except NotReducibleError as exc:
         if machine:
-            doc = {"error": "not-reducible", "residual": json.loads(serialize_matrix(exc.residual))}
+            doc = {"error": "not-reducible", "residual": _matrix_doc(exc.residual)}
             _print_document(doc, exc.trace, pm, config)
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -215,7 +225,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
 def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     result = reduce_dominance(pm, config)
     if args.format == "machine":
-        doc = {"matrix": json.loads(serialize_matrix(result.residual))}
+        doc = {"matrix": _matrix_doc(result.residual)}
         _print_document(doc, result.trace, pm, config)
     else:
         print(serialize_matrix(result.residual), end="")

@@ -18,14 +18,19 @@ columns of :attr:`PayoffMatrix.scaled_centers`, negated in place.  That
 integer grid is the centers times the lcm of their denominators; a positive
 scale keeps every comparison the convex test and the guarantee make.
 
-Mixed strategies and value centers are computed in exact rational
-arithmetic (``fractions.Fraction``), so results like 15/16 are exact.
+Mixed strategies, value centers and spreads, the expected payoff and the
+convex blends are exact rationals (``fractions.Fraction``), so results like
+15/16 are exact.  They are computed on integer grids (the cells times the
+lcm of their denominators, or a numerator over one common denominator), and
+each returned ``Fraction`` is built once, from its integer numerator and
+denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -100,6 +105,7 @@ class Solution:
     trace: tuple[ReductionStep, ...]
 
     def __post_init__(self) -> None:
+        vectors = {Axis.ROW: self.x, Axis.COL: self.y}
         for name, vec in (("x", self.x), ("y", self.y)):
             # A vector is padded to the original game with exact zeros, which
             # pass the range check and add nothing to the sum.
@@ -109,10 +115,8 @@ class Solution:
             if sum(support) != 1:
                 raise ValueError(f"{name} does not sum to 1: {vec}")
         for step in self.trace:
-            if step.deleted is None:
-                continue
-            vec = self.x if step.deleted.axis is Axis.ROW else self.y
-            if vec[step.deleted.index] != 0:
+            deleted = step.deleted
+            if deleted is not None and vectors[deleted.axis][deleted.index]:
                 raise ValueError(
                     f"deleted strategy {step.deleted} carries nonzero probability"
                 )
@@ -261,10 +265,18 @@ def _blends(
     first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: float
 ) -> tuple[FuzzyNum, ...]:
     # Exact rational blend keeps the dominance comparisons deterministic.
-    bf = Fraction(beta)
+    # With beta = bn/bd, u = un/ud and v = vn/vd, beta*u + (1 - beta)*v is
+    # one integer numerator over bd*ud*vd, normalised once.
+    bn, bd = Fraction(beta).as_integer_ratio()
+    rest = bd - bn
+
+    def blend(u, v) -> Fraction:
+        un, ud = u.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        return Fraction(bn * un * vd + rest * vn * ud, bd * ud * vd)
+
     return tuple(
-        FuzzyNum(bf * Fraction(a.center) + (1 - bf) * Fraction(b.center),
-                 bf * Fraction(a.spread) + (1 - bf) * Fraction(b.spread))
+        FuzzyNum(blend(a.center, b.center), blend(a.spread, b.spread))
         for a, b in zip(first, second)
     )
 
@@ -413,17 +425,17 @@ def solve_2x2(
     if saddle is not None:
         return _saddle_solution(pm, saddle)
 
-    solved = _closed_form([[Fraction(e.center) for e in row] for row in pm.entries])
+    solved = _closed_form(pm.scaled_centers, pm.center_scale)
     if solved is None:
         raise RuntimeError("internal consistency: no saddle point yet D == 0")
     x, y, center = solved
-    if any(not 0 < p < 1 for p in (*x, *y)):
+    # A normalised Fraction has a positive denominator: p lies in (0, 1) iff 0 < num < den.
+    if any(not 0 < p.numerator < p.denominator for p in (*x, *y)):
         raise RuntimeError("internal consistency: no saddle point yet degenerate mix")
 
     spread = None
     if convention is SpreadConvention.ENDPOINT:
-        ends = [[Fraction(e.center) + Fraction(e.spread) for e in row] for row in pm.entries]
-        endpoint = _closed_form(ends)
+        endpoint = _closed_form(*_endpoint_grid(pm))
         if endpoint is not None:
             spread = max(endpoint[2] - center, Fraction(0))
     if spread is None:
@@ -432,15 +444,40 @@ def solve_2x2(
     return Solution(x, y, FuzzyNum(center, spread), SolutionKind.MIXED_2X2, ())
 
 
-def _closed_form(m: Sequence[Sequence[Fraction]]) -> tuple[tuple, tuple, Fraction] | None:
-    # The formula of solve_2x2 on the exact 2x2 grid m: (x, y, value), or None when D == 0.
-    (m11, m12), (m21, m22) = m
-    d = m11 + m22 - m12 - m21
+def _closed_form(
+    a: Sequence[Sequence[int]], scale: int
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], Fraction] | None:
+    """The formula of :func:`solve_2x2` on a 2x2 integer grid: (x, y, value), or None when D == 0.
+
+    ``a`` is the game times the positive int ``scale``.  The scale cancels
+    in the strategies and once in the value, so each result is one
+    ``Fraction`` of two ints.
+    """
+    (a11, a12), (a21, a22) = a
+    d = a11 + a22 - a12 - a21
     if d == 0:
         return None
-    x = ((m22 - m21) / d, (m11 - m12) / d)
-    y = ((m22 - m12) / d, (m11 - m21) / d)
-    return x, y, (m11 * m22 - m12 * m21) / d
+    x = (Fraction(a22 - a21, d), Fraction(a11 - a12, d))
+    y = (Fraction(a22 - a12, d), Fraction(a11 - a21, d))
+    return x, y, Fraction(a11 * a22 - a12 * a21, d * scale)
+
+
+def _endpoint_grid(pm: PayoffMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The right endpoints ``center + spread`` as an integer grid and its positive scale.
+
+    Each exact sum is ``(cn*sd + sn*cd) / (cd*sd)``; the scale is the lcm
+    of those denominators, as :attr:`PayoffMatrix.scaled_centers` is for the centers.
+    """
+    sums = []
+    for row in pm.entries:
+        line = []
+        for e in row:
+            cn, cd = e.center.as_integer_ratio()
+            sn, sd = e.spread.as_integer_ratio()
+            line.append((cn * sd + sn * cd, cd * sd))
+        sums.append(line)
+    scale = math.lcm(*(den for line in sums for _, den in line))
+    return tuple(tuple(num * (scale // den) for num, den in line) for line in sums), scale
 
 
 @dataclass(frozen=True)
@@ -686,11 +723,19 @@ def _expected(
 ) -> Fraction:
     # The entries' center or spread (``part``) averaged under (x, y).  A
     # strategy played with probability 0 adds an exact 0, so summing over
-    # the supports (at most 2x2 after dominance) gives the full sum.
-    rows = [(i, p) for i, p in enumerate(x) if p]
-    cols = [(j, q) for j, q in enumerate(y) if q]
+    # the supports (at most 2x2 after dominance) gives the full sum.  Each
+    # term p*q*v is added as integers to one numerator over one denominator.
+    rows = [(i, *p.as_integer_ratio()) for i, p in enumerate(x) if p]
+    cols = [(j, *q.as_integer_ratio()) for j, q in enumerate(y) if q]
     entries = pm.entries
-    return sum(p * q * Fraction(getattr(entries[i][j], part)) for i, p in rows for j, q in cols)
+    num, den = 0, 1
+    for i, pn, pd in rows:
+        line = entries[i]
+        for j, qn, qd in cols:
+            vn, vd = getattr(line[j], part).as_integer_ratio()
+            td = pd * qd * vd
+            num, den = num * td + pn * qn * vn * den, den * td
+    return Fraction(num, den)
 
 
 def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
