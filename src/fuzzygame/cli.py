@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NoReturn
 
 from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank
-from .matrix import Axis, MatrixError, PayoffMatrix, parse_matrix, serialize_matrix
+from .matrix import Axis, MatrixError, PayoffMatrix, matrix_doc, parse_matrix, serialize_matrix
 from .oracle import CenterGame, OracleReport, check_size, oracle_check, oracle_value
 from .solver import (
     NotReducibleError,
@@ -127,16 +127,6 @@ def _solution_doc(solution: Solution) -> dict:
     }
 
 
-def _matrix_doc(pm: PayoffMatrix) -> dict:
-    # What json.loads makes of serialize_matrix(pm), built from pm itself:
-    # a parsed game holds only ints and floats, which json writes back the same.
-    return {
-        "rows": list(pm.row_labels),
-        "cols": list(pm.col_labels),
-        "entries": [[[e.center, e.spread] for e in row] for row in pm.entries],
-    }
-
-
 def _print_document(doc: dict, steps, pm: PayoffMatrix, config: PipelineConfig) -> None:
     # The only machine-mode writer: trace and config close every document.
     doc["trace"] = [_step_doc(s, pm) for s in steps]
@@ -206,7 +196,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
         solution = solve_pipeline(pm, config)
     except NotReducibleError as exc:
         if machine:
-            doc = {"error": "not-reducible", "residual": _matrix_doc(exc.residual)}
+            doc = {"error": "not-reducible", "residual": matrix_doc(exc.residual)}
             _print_document(doc, exc.trace, pm, config)
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -225,7 +215,7 @@ def cmd_solve(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
 def cmd_reduce(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig) -> int:
     result = reduce_dominance(pm, config)
     if args.format == "machine":
-        doc = {"matrix": _matrix_doc(result.residual)}
+        doc = {"matrix": matrix_doc(result.residual)}
         _print_document(doc, result.trace, pm, config)
     else:
         print(serialize_matrix(result.residual), end="")

@@ -23,8 +23,10 @@ from fractions import Fraction
 
 # Largest magnitude a center or spread may take.  Every value must survive
 # float() for evidence and output; NaN compares false against it, so one
-# comparison per value rejects NaN, the infinities and oversized integers.
+# chained comparison per value rejects NaN, the infinities and oversized
+# integers (abs() would build a new Fraction).
 MAX_MAGNITUDE = int(sys.float_info.max)
+MIN_CENTER = -MAX_MAGNITUDE
 
 
 class DegenerateComparisonError(ValueError):
@@ -151,7 +153,7 @@ class FuzzyNum:
     def __post_init__(self) -> None:
         if self.spread < 0:
             raise ValueError(f"spread must be nonnegative, got {self.spread}")
-        if not (abs(self.center) <= MAX_MAGNITUDE and abs(self.spread) <= MAX_MAGNITUDE):
+        if not (MIN_CENTER <= self.center <= MAX_MAGNITUDE and self.spread <= MAX_MAGNITUDE):
             raise ValueError(
                 f"center and spread must be finite with magnitude at most "
                 f"{float(MAX_MAGNITUDE):g}, got {self}"

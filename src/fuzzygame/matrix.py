@@ -255,18 +255,26 @@ def _parse_labels(raw: object, expected: int, key: str) -> tuple[str, ...] | Non
     return tuple(raw)
 
 
+def matrix_doc(pm: PayoffMatrix) -> dict:
+    """The document of ``pm``: machine mode prints it, :func:`serialize_matrix` renders it.
+
+    A parsed game holds only ints and floats, which json writes back as they were read.
+    """
+    return {
+        "rows": list(pm.row_labels),
+        "cols": list(pm.col_labels),
+        "entries": [[[e.center, e.spread] for e in row] for row in pm.entries],
+    }
+
+
 def serialize_matrix(pm: PayoffMatrix) -> str:
-    """Canonical document for ``pm``; parse_matrix inverts it bit-exactly."""
-    rows = json.dumps(list(pm.row_labels))
-    cols = json.dumps(list(pm.col_labels))
-    grid = ",\n".join(
-        "    [" + ", ".join(json.dumps([e.center, e.spread]) for e in row) + "]"
-        for row in pm.entries
-    )
+    """Canonical text of :func:`matrix_doc`; parse_matrix inverts it bit-exactly."""
+    doc = matrix_doc(pm)
+    grid = ",\n".join("    [" + ", ".join(map(json.dumps, row)) + "]" for row in doc["entries"])
     return (
         "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
+        f'  "rows": {json.dumps(doc["rows"])},\n'
+        f'  "cols": {json.dumps(doc["cols"])},\n'
         f'  "entries": [\n{grid}\n  ]\n'
         "}\n"
     )

@@ -405,33 +405,31 @@ def solve_2x2(
 ) -> Solution:
     """Closed-form solution of a 2x2 game.
 
-    With a saddle point the solution is pure and the value is the saddle
-    entry itself.  Otherwise, writing m_ij for the centers and
-    D = m11 + m22 - m12 - m21:
+    Writing m_ij for the centers and D = m11 + m22 - m12 - m21:
 
         x = ((m22 - m21)/D, (m11 - m12)/D)
         y = ((m22 - m12)/D, (m11 - m21)/D)
         value center = (m11*m22 - m12*m21)/D
 
-    all exact rationals.  The value spread follows the convention: EXPECTED
-    averages the entry spreads under (x, y); ENDPOINT applies the
-    center formula to the right endpoints m + w and clamps at zero (falling
-    back to EXPECTED if its denominator vanishes).
+    all exact rationals.  The game has a pure saddle exactly when this mix is
+    not strict (D == 0, or a probability of 0 or 1; strict means both diagonal
+    centers lie above both others, or both below), and only then does
+    :func:`find_saddle` run: the value is the saddle entry.  A mixed value's
+    spread follows the convention: EXPECTED averages the entry spreads under
+    (x, y); ENDPOINT applies the center formula to the right endpoints m + w
+    and clamps at zero (falling back to EXPECTED if its denominator vanishes).
     """
     if (pm.rows, pm.cols) != (2, 2):
         raise ShapeError(f"solve_2x2 needs a 2x2 matrix, got {pm.rows}x{pm.cols}")
 
-    saddle = find_saddle(pm, attitude)
-    if saddle is not None:
-        return _saddle_solution(pm, saddle)
-
     solved = _closed_form(pm.scaled_centers, pm.center_scale)
-    if solved is None:
-        raise RuntimeError("internal consistency: no saddle point yet D == 0")
-    x, y, center = solved
     # A normalised Fraction has a positive denominator: p lies in (0, 1) iff 0 < num < den.
-    if any(not 0 < p.numerator < p.denominator for p in (*x, *y)):
-        raise RuntimeError("internal consistency: no saddle point yet degenerate mix")
+    if solved is None or any(not 0 < p.numerator < p.denominator for p in (*solved[0], *solved[1])):
+        saddle = find_saddle(pm, attitude)
+        if saddle is None:
+            raise RuntimeError("internal consistency: a saddle-free 2x2 game is not strictly mixed")
+        return _saddle_solution(pm, saddle)
+    x, y, center = solved
 
     spread = None
     if convention is SpreadConvention.ENDPOINT:

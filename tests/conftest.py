@@ -58,12 +58,29 @@ def saddle_2x2():
     ])
 
 
+def _diagonal(n):
+    # 3 on the diagonal, -1 elsewhere: no saddle, no dominance, full-support optimum.
+    return PayoffMatrix.of([[(3 if i == j else -1, 0.1) for j in range(n)] for i in range(n)])
+
+
+def _convex_curve(n):
+    # 2 x n, columns (j, (n - j)^2) on a convex curve: none is dominated, even by a blend.
+    return PayoffMatrix.of([[(j, 0.1) for j in range(n)], [((n - j) ** 2, 0.1) for j in range(n)]])
+
+
 @pytest.fixture
 def irreducible_4x4():
-    # Matching-pennies style: full-support optimum, no saddle, no dominance.
-    return PayoffMatrix.of([
-        [(3, 0.1) if i == j else (-1, 0.1) for j in range(4)] for i in range(4)
-    ])
+    return _diagonal(4)  # matching-pennies style
+
+
+@pytest.fixture
+def diagonal_game():
+    return _diagonal  # factory: diagonal_game(n) -> PayoffMatrix
+
+
+@pytest.fixture
+def curve_game():
+    return _convex_curve  # factory: curve_game(n) -> PayoffMatrix
 
 
 def _planted(seed, m, n):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -169,11 +170,7 @@ class TestReduce:
                 ' [[0, 0.1], [3, 0.1]]]}')
         code = main(["reduce", write_game(text), "--format", "machine"])
         assert code == 0
-
-        def refuse(constant):
-            raise ValueError(f"not JSON: {constant}")
-
-        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         first = doc["trace"][0]
         assert first["deleted"]["label"] == "A2"
         assert first["evidence"] == [0.5294117647058824, 20.0]
@@ -469,6 +466,16 @@ def run_cli(*argv):
     )
 
 
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of one in-process run, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("command", ["solve", "reduce", "validate", "check"])
     @pytest.mark.parametrize("kind", [*UNREADABLE_DOCUMENTS, "not-utf-8", "directory"])
@@ -553,23 +560,14 @@ class TestParserReuse:
         ["rank", "0.3,0.5", "0.4,0.5"],
     ]
 
-    @staticmethod
-    def _run(argv, capsys):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     def test_each_call_matches_a_fresh_parser(self, write_game, simulation_3x4, capsys):
         path = write_game(simulation_3x4)
         calls = [[path if arg == "{game}" else arg for arg in argv] for argv in self.CALLS]
-        reused = [self._run(argv, capsys) for argv in calls]
+        reused = [run_main(argv, capsys) for argv in calls]
         fresh = []
         for argv in calls:
             build_parser.cache_clear()
-            fresh.append(self._run(argv, capsys))
+            fresh.append(run_main(argv, capsys))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 0]
         assert "pessimistic" in reused[-1][1] and "optimistic" in reused[-2][1]
@@ -581,3 +579,90 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout == "0\n", proc.stderr
+
+
+SAMPLE_DIR = pathlib.Path(__file__).resolve().parent.parent / "sample_games"
+SAMPLES = sorted(path.stem for path in SAMPLE_DIR.glob("*.json"))
+OPTION_SETS = ([], ["--spread-convention", "endpoint", "--attitude", "optimistic"],
+               ["--threshold", "1", "--beta-steps", "5"], ["--threshold", "inf"])
+
+
+def padded_12x12():
+    """A saddle-free 2x2 core at interleaved positions, padded as the planted benchmark
+    games are: each padding row lies strictly below a core row and each padding column
+    strictly above a core column, so plain dominance deletes exactly the 20 padding lines."""
+    core = {(2, 3): 3, (2, 8): -1, (7, 3): -2, (7, 8): 4}
+
+    def center(i, j):
+        pad_row, pad_col = i not in (2, 7), j not in (3, 8)
+        base = core[(2, 7)[i % 2] if pad_row else i, (3, 8)[j % 2] if pad_col else j]
+        return base + (pad_col - pad_row) * (1 + (i + j) % 4)
+
+    return PayoffMatrix.of([[(center(i, j), (i + 2 * j) % 5 / 10) for j in range(12)]
+                            for i in range(12)])
+
+
+def strict_trace(out):
+    return json.loads(out, parse_constant=refuse_constant)["trace"]
+
+
+class TestEndToEnd:
+    """Every command on the sample games, and on games larger than any sample."""
+
+    @pytest.mark.parametrize("game", [*SAMPLES, "crisp"])
+    def test_every_command_under_every_option_set(self, write_game, capsys, game):
+        path = write_game(CRISP_3X2) if game == "crisp" else str(SAMPLE_DIR / f"{game}.json")
+        # The irreducible sample is the one game the method cannot solve.
+        solved = 2 if game == "irreducible" else 0
+        assert run_main(["validate", path], capsys)[0] == 0
+        for opts in OPTION_SETS:
+            for command, code in (("solve", solved), ("reduce", 0)):
+                # Machine mode is strict JSON; table mode exits as machine mode does.
+                got, out, _ = run_main([command, path, "--format", "machine", *opts], capsys)
+                strict_trace(out)
+                assert (got, run_main([command, path, "--trace", *opts], capsys)[0]) == (code, code)
+            assert run_main(["check", path, *opts], capsys)[0] == 0
+
+    @pytest.mark.parametrize("game, solved, deleted", [
+        ("curve", 0, 0), ("curve-negated-transpose", 0, 0), ("diagonal", 2, 0), ("padded", 0, 20),
+    ])
+    def test_larger_games(self, write_game, curve_game, diagonal_game, capsys,
+                          game, solved, deleted):
+        # The curves need the convex scan on both axes to prove nothing is dominated.
+        curve = curve_game(32)
+        path = write_game({
+            "curve": curve,
+            "curve-negated-transpose": PayoffMatrix.of(
+                [[(-e.center, e.spread) for e in col] for col in curve.columns]),
+            "diagonal": diagonal_game(16),
+            "padded": padded_12x12(),
+        }[game])
+        code, out, _ = run_main(["solve", path, "--format", "machine"], capsys)
+        strict_trace(out)
+        assert code == solved
+        code, out, _ = run_main(["reduce", path, "--format", "machine"], capsys)
+        assert code == 0
+        assert sum(step["deleted"] is not None for step in strict_trace(out)) == deleted
+        # check passes every test of a solved game and gives the oracle value of any other.
+        code, out, _ = run_main(["check", path], capsys)
+        assert code == 0
+        expected = ("oracle value center: ",) if solved else (
+            "value match:  ok", "x guarantee:  ok", "y guarantee:  ok")
+        assert all(f"\n{line}" in out for line in expected), out
+
+    def test_check_at_the_oracle_cap(self, write_game, capsys):
+        rng = random.Random(32)
+        pm = PayoffMatrix.of([[(rng.randint(-200, 200) / 10, 0.1) for _ in range(32)]
+                              for _ in range(32)])
+        code, out, _ = run_main(["check", write_game(pm)], capsys)
+        assert code == 0
+        assert out.startswith("pipeline: not reducible") and "\noracle value center: " in out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "GAME", "--trace"], ["reduce", "GAME", "--format", "machine"],
+        ["rank", "0.3,0.5", "0.4,0.5"], ["validate", "GAME"], ["check", "GAME"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_runs_as_a_module(self, capsys, argv):
+        argv = [str(SAMPLE_DIR / "simulation.json") if arg == "GAME" else arg for arg in argv]
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_main(argv, capsys)

@@ -9,6 +9,7 @@ an equal int or float), and every dominance index read on a blend the same
 bits.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from fuzzygame import (
     Attitude,
     FuzzyNum,
     PayoffMatrix,
+    SolutionKind,
     SpreadConvention,
     beta_grid,
     find_saddle,
@@ -136,6 +138,20 @@ def test_solve_2x2_matches_fraction_reference(pm, convention, attitude):
     sol = solve_2x2(pm, convention, attitude)
     x, y, value = reference_solve_2x2(pm, convention, attitude)
     assert _reprs(sol.x, sol.y, sol.value) == _reprs(x, y, value)
+
+
+def test_saddle_exactly_when_the_closed_form_is_not_strictly_mixed(monkeypatch):
+    # Every 2x2 game with centers in -2..2, ties included; solve_2x2 relies on it.
+    calls = []
+    monkeypatch.setattr(solver, "find_saddle", lambda *a: calls.append(a) or find_saddle(*a))
+    for cells in itertools.product(range(-2, 3), repeat=4):
+        pm = PayoffMatrix.of([[(c, 0.1) for c in cells[:2]], [(c, 0.1) for c in cells[2:]]])
+        solved = solver._closed_form(pm.scaled_centers, pm.center_scale)
+        mixed = solved is not None and all(0 < p < 1 for p in (*solved[0], *solved[1]))
+        assert (find_saddle(pm) is None) == mixed, cells
+        calls.clear()
+        kind = solve_2x2(pm).kind
+        assert (kind is SolutionKind.MIXED_2X2, len(calls)) == (mixed, int(not mixed)), cells
 
 
 @SETTINGS

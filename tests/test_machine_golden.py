@@ -3,7 +3,7 @@
 ``data/golden_machine.json`` holds the exact stdout (and exit code) of
 ``solve --format machine --trace`` and ``reduce --format machine`` on the
 five sample games and on one irreducible 3x3 game, each under the four
-option sets the CI workflow runs.  The 3x3 game has ``-0.0``, ``1e+16`` and
+option sets the end-to-end tests run.  The 3x3 game has ``-0.0``, ``1e+16`` and
 ``5e-324`` cells and non-ASCII and quoted labels, so its residual document
 exercises every way a number or a label can be written.  A refactor of the
 solver or of the CLI must keep every byte.
@@ -22,6 +22,7 @@ import pytest
 
 from fuzzygame import parse_matrix, serialize_matrix
 from fuzzygame.cli import main
+from fuzzygame.matrix import matrix_doc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_machine.json"
@@ -94,10 +95,8 @@ def test_machine_output_matches_golden_bytes(game, tmp_path):
 
 
 def test_matrix_doc_is_the_parsed_serialized_matrix():
-    from fuzzygame.cli import _matrix_doc
-
     pm = parse_matrix(EDGE_GAME)
-    doc = _matrix_doc(pm)
+    doc = matrix_doc(pm)
     expected = json.loads(serialize_matrix(pm))
     assert doc == expected
     # Equal is not enough for -0.0 == 0.0 and 1 == 1.0: compare by type and repr too.

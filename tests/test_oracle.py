@@ -76,6 +76,12 @@ class TestCenterGameCells:
         assert CenterGame(rows) == CenterGame.of(rows)
         assert oracle_value(CenterGame(rows)) == oracle_value(CenterGame.of(rows))
 
+    def test_malformed_grid_is_refused(self):
+        for grid, message in (((), "one row and one column"), (((),), "one row and one column"),
+                              (((1, 2), (3,)), "must be rectangular")):
+            with pytest.raises(ValueError, match=message):
+                CenterGame(grid)
+
     @pytest.mark.parametrize("cell", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_cells_are_refused(self, cell):
         with pytest.raises(ValueError, match="is not a finite number"):

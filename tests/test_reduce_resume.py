@@ -90,21 +90,15 @@ def _random_game(rng):
     return PayoffMatrix.of(grid)
 
 
-def _families():
-    """Games the method cannot reduce: the diagonal game and the convex curve."""
-    for n in range(2, 10):
-        yield PayoffMatrix.of([[(3 if i == j else -1, 0.1) for j in range(n)] for i in range(n)])
-        curve = [[(j, 0.1) for j in range(n)], [((n - j) ** 2, 0.1) for j in range(n)]]
-        yield PayoffMatrix.of(curve)
-        yield PayoffMatrix.of([list(col) for col in zip(*curve)])
-
-
 CONFIGS = (PipelineConfig(), PipelineConfig(threshold=0.5), PipelineConfig(betas=(0.5,)))
 
 
-def test_matches_the_restart_loop():
+def test_matches_the_restart_loop(diagonal_game, curve_game):
     rng = random.Random(2013)
-    games = [_random_game(rng) for _ in range(200)] + list(_families())
+    # Diagonal games and convex curves are not reducible; convex rows reduce the transposes.
+    curves = [curve_game(n) for n in range(2, 10)]
+    games = [_random_game(rng) for _ in range(200)] + [diagonal_game(n) for n in range(2, 10)]
+    games += curves + [PayoffMatrix.of(curve.columns) for curve in curves]
     kinds = collections.Counter()
     for pm in games:
         for config in CONFIGS:

@@ -17,6 +17,7 @@ from fuzzygame import (
     NotReducibleError,
     PayoffMatrix,
     PipelineConfig,
+    ReductionStep,
     ShapeError,
     SolutionKind,
     SpreadConvention,
@@ -485,6 +486,11 @@ class TestExactInvariants:
         Solution((F(0), F(1), F(0)), y, FuzzyNum(0, 0), SolutionKind.MIXED_2X2, ())
         with pytest.raises(ValueError, match=message):
             Solution(x, y, FuzzyNum(0, 0), SolutionKind.MIXED_2X2, ())
+
+    def test_deleted_strategy_must_not_be_played(self):
+        step = ReductionStep(StepKind.ROW_DOMINANCE, StrategyIndex(Axis.ROW, 1), "A1", ())
+        with pytest.raises(ValueError, match="deleted strategy .* carries nonzero probability"):
+            Solution((F(1, 2), F(1, 2)), (F(1),), FuzzyNum(0, 0), SolutionKind.MIXED_2X2, (step,))
 
     def test_expected_payoff_must_match_the_value_exactly(self, simulation_3x4):
         good = solve_pipeline(simulation_3x4)
