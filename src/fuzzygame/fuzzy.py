@@ -51,6 +51,13 @@ class Choice(Enum):
     B = "b"
 
 
+def _refuse_nan(**fields: float) -> None:
+    # NaN is the one value unequal to itself; the infinities stay accepted.
+    for name, value in fields.items():
+        if value != value:
+            raise ValueError(f"{name} must not be NaN")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed real interval [lo, hi]."""
@@ -59,11 +66,13 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        _refuse_nan(lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     @classmethod
     def from_midpoint(cls, midpoint: float, halfwidth: float) -> "Interval":
+        _refuse_nan(midpoint=midpoint, halfwidth=halfwidth)
         if halfwidth < 0:
             raise ValueError(f"halfwidth must be nonnegative, got {halfwidth}")
         return cls(midpoint - halfwidth, midpoint + halfwidth)
@@ -139,6 +148,7 @@ class LRTriple:
     right: float
 
     def __post_init__(self) -> None:
+        _refuse_nan(left=self.left, peak=self.peak, right=self.right)
         if self.left < 0 or self.right < 0:
             raise ValueError(f"spreads must be nonnegative, got ({self.left}, {self.right})")
 

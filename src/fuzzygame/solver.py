@@ -28,7 +28,6 @@ denominator.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -122,11 +121,28 @@ class Solution:
                 )
 
 
-# Largest grid beta_grid builds; an unbounded one is a memory hazard.  Every
-# convex triple hashes the whole grid to look it up (0.17 ms at 10 001 points)
-# and scans it when its interval is not empty: `solve` on the 32x2 convex-curve
-# game takes 0.19 s at 21 points, 0.49 s at 1 001 and 2.5 s at 10 001 (Xeon).
+# Largest grid beta_grid builds; an unbounded one is a memory hazard.
 MAX_BETA_STEPS = 10_001
+
+
+class _Grid(tuple):
+    """The caller's convex coefficients, checked once; ``exact`` holds each as ``(num, den)``.
+
+    A grid must not be empty, and a coefficient outside [0, 1], NaN too, is
+    refused: its blend is no mixed strategy, so a deletion by it is unsound.
+    """
+
+    def __new__(cls, betas: Iterable[float]) -> "_Grid":
+        grid = super().__new__(cls, betas)
+        if not grid:
+            raise ValueError("convex coefficient grid must not be empty")
+        for beta in grid:
+            if not 0 <= beta <= 1:
+                raise ValueError(f"convex coefficients must lie in [0, 1], got {beta}")
+        # A float's own ratio is Fraction(float)'s, at a tenth of the cost.
+        grid.exact = tuple(
+            (b if type(b) is float else Fraction(b)).as_integer_ratio() for b in grid)
+        return grid
 
 
 def beta_grid(steps: int = 21) -> tuple[float, ...]:
@@ -143,7 +159,7 @@ def beta_grid(steps: int = 21) -> tuple[float, ...]:
     if 0.5 in values:
         values.remove(0.5)
         values.insert(0, 0.5)
-    return tuple(values)
+    return _Grid(values)
 
 
 DEFAULT_BETAS = beta_grid()
@@ -156,7 +172,7 @@ class PipelineConfig:
     ``threshold`` > 0 additionally requires every per-entry dominance index
     of a plain deletion to reach it (convex deletions ignore it); the
     default 0 uses weak dominance on centers, which is what the worked
-    reductions need.  Every convex coefficient in ``betas`` must lie in [0, 1].
+    reductions need.  ``betas`` is kept as a checked copy: each in [0, 1].
     """
 
     threshold: float = 0.0
@@ -167,7 +183,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.threshold >= 0:  # NaN included
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
-        _exact_grid(tuple(self.betas))
+        if type(self.betas) is not _Grid:
+            object.__setattr__(self, "betas", _Grid(self.betas))
 
 
 def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
@@ -281,23 +298,6 @@ def _blends(
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _exact_grid(betas: tuple[float, ...]) -> tuple[tuple[int, int], ...]:
-    """Each coefficient as an exact ``(num, den)``: the only place a grid is checked.
-
-    A grid must not be empty, and a coefficient outside [0, 1], NaN too, is
-    refused: its blend is no mixed strategy, so a deletion by it would be
-    unsound.  Equal grids share an entry ((1,) and (1.0,) hash alike), so it
-    holds only numbers, never the caller's objects; a failing grid is not kept.
-    """
-    if not betas:
-        raise ValueError("convex coefficient grid must not be empty")
-    for beta in betas:
-        if not 0 <= beta <= 1:
-            raise ValueError(f"convex coefficients must lie in [0, 1], got {beta}")
-    return tuple(Fraction(beta).as_integer_ratio() for beta in betas)
-
-
 def _lines(pm: PayoffMatrix, axis: Axis, p: int, q: int, s: int) -> Iterable[tuple[int, int, int]]:
     """Entry by entry, lines p, q and s of the maximizer's game on ``axis``.
 
@@ -325,9 +325,9 @@ def _first_feasible(
     cross-multiplication.  One exact pass finds it and stops as soon as it is
     empty; then the grid is scanned, in the caller's order, for the first
     point inside it, which is returned as the caller gave it.  Returns None
-    when there is none.
+    when there is none.  Any grid but a ``_Grid`` is checked here first.
     """
-    grid = _exact_grid(tuple(betas))
+    grid = betas if type(betas) is _Grid else _Grid(betas)
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     for cp, cq, cs in lines:
         d, r = cp - cq, cs - cq
@@ -341,7 +341,7 @@ def _first_feasible(
             return None
         if lo_n * hi_d > hi_n * lo_d:
             return None
-    for (num, den), beta in zip(grid, betas):
+    for (num, den), beta in zip(grid.exact, grid):
         if lo_n * den <= num * lo_d and num * hi_d <= hi_n * den:
             return beta
     return None
@@ -411,25 +411,25 @@ def solve_2x2(
         y = ((m22 - m12)/D, (m11 - m21)/D)
         value center = (m11*m22 - m12*m21)/D
 
-    all exact rationals.  The game has a pure saddle exactly when this mix is
-    not strict (D == 0, or a probability of 0 or 1; strict means both diagonal
-    centers lie above both others, or both below), and only then does
-    :func:`find_saddle` run: the value is the saddle entry.  A mixed value's
-    spread follows the convention: EXPECTED averages the entry spreads under
-    (x, y); ENDPOINT applies the center formula to the right endpoints m + w
-    and clamps at zero (falling back to EXPECTED if its denominator vanishes).
+    all exact rationals.  The mix is strict (every probability in (0, 1))
+    exactly when both diagonal centers lie above both others, or both below,
+    and the game has a pure saddle exactly when it is not.  That test runs
+    first, on the ints of :attr:`PayoffMatrix.scaled_centers`; a saddle goes
+    to :func:`find_saddle`, whose entry is the value.  A mixed value's spread
+    follows the convention: EXPECTED averages the entry spreads under (x, y);
+    ENDPOINT applies the center formula to the right endpoints m + w and
+    clamps at zero (falling back to EXPECTED if its denominator vanishes).
     """
     if (pm.rows, pm.cols) != (2, 2):
         raise ShapeError(f"solve_2x2 needs a 2x2 matrix, got {pm.rows}x{pm.cols}")
 
-    solved = _closed_form(pm.scaled_centers, pm.center_scale)
-    # A normalised Fraction has a positive denominator: p lies in (0, 1) iff 0 < num < den.
-    if solved is None or any(not 0 < p.numerator < p.denominator for p in (*solved[0], *solved[1])):
+    (a11, a12), (a21, a22) = pm.scaled_centers
+    if not (min(a11, a22) > max(a12, a21) or max(a11, a22) < min(a12, a21)):
         saddle = find_saddle(pm, attitude)
         if saddle is None:
             raise RuntimeError("internal consistency: a saddle-free 2x2 game is not strictly mixed")
         return _saddle_solution(pm, saddle)
-    x, y, center = solved
+    x, y, center = _closed_form(pm.scaled_centers, pm.center_scale)
 
     spread = None
     if convention is SpreadConvention.ENDPOINT:

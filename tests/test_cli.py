@@ -650,6 +650,24 @@ class TestEndToEnd:
             "value match:  ok", "x guarantee:  ok", "y guarantee:  ok")
         assert all(f"\n{line}" in out for line in expected), out
 
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["2x32", "32x2"])
+    def test_curves_at_the_grid_cap(self, write_game, curve_game, capsys, command, transpose):
+        # The finest grid proves nothing dominated, as the default one does;
+        # only the grid size in the config differs.
+        curve = curve_game(32)
+        if transpose:
+            curve = PayoffMatrix.of([[(-e.center, e.spread) for e in col] for col in curve.columns])
+        path = write_game(curve)
+        docs = []
+        for steps in (21, MAX_BETA_STEPS):
+            code, out, _ = run_main(
+                [command, path, "--format", "machine", "--beta-steps", str(steps)], capsys)
+            doc = json.loads(out, parse_constant=refuse_constant)
+            assert (code, doc["config"].pop("beta_steps")) == (0, steps)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_check_at_the_oracle_cap(self, write_game, capsys):
         rng = random.Random(32)
         pm = PayoffMatrix.of([[(rng.randint(-200, 200) / 10, 0.1) for _ in range(32)]

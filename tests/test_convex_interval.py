@@ -211,17 +211,31 @@ def test_fraction_coefficient_labels_as_its_float(convex_3x3):
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_grid_cache_returns_the_callers_coefficient(order):
-    # (1,), (1.0,) and (Fraction(1),) are equal tuples with one cache entry;
-    # each caller still gets its own coefficient object back.
+    # (1,), (1.0,) and (Fraction(1),) are equal tuples; in any order, each
+    # caller still gets its own coefficient object back.
     grids = ((1,), (1.0,), (Fraction(1),))
     rows = PayoffMatrix.of([[(1, 0.1)] * 2, [(1, 0.2)] * 2, [(1, 0.3)] * 2])
     cols = PayoffMatrix.of([[(1, 0.1), (1, 0.2), (1, 0.3)]] * 2)
-    solver._exact_grid.cache_clear()
     for k in order:
         grid = grids[k]
         assert repr(convex_row_dominates(rows, 1, 0, 2, grid)[0]) == repr(grid[0])
         assert repr(convex_col_dominates(cols, 1, 0, 2, grid)[0]) == repr(grid[0])
-    assert solver._exact_grid.cache_info().currsize == 1
+
+
+def test_config_holds_a_checked_copy_of_its_grid(convex_3x3):
+    # The grid is checked and copied once, when the config is built; a later
+    # change to the caller's list reaches neither the config nor a reduction.
+    betas = [0.1]
+    config = PipelineConfig(betas=betas)
+    assert type(config.betas) is solver._Grid and config.betas == (0.1,)
+    assert config.betas[0] is betas[0]
+    want = repr(reduce_dominance(convex_3x3, config))
+    betas.append(0.5)
+    assert config.betas == (0.1,)
+    assert repr(reduce_dominance(convex_3x3, config)) == want
+    assert repr(reduce_dominance(convex_3x3, PipelineConfig(betas=betas))) != want
+    # A grid beta_grid built is already checked and is kept as it is.
+    assert PipelineConfig().betas is solver.DEFAULT_BETAS
 
 
 EXTREME_CENTERS = (5e-324, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3)

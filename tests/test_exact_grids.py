@@ -141,17 +141,22 @@ def test_solve_2x2_matches_fraction_reference(pm, convention, attitude):
 
 
 def test_saddle_exactly_when_the_closed_form_is_not_strictly_mixed(monkeypatch):
-    # Every 2x2 game with centers in -2..2, ties included; solve_2x2 relies on it.
-    calls = []
-    monkeypatch.setattr(solver, "find_saddle", lambda *a: calls.append(a) or find_saddle(*a))
+    # Every 2x2 game with centers in -2..2, ties included; solve_2x2 relies on
+    # it, and runs the closed form only for a strict mix.
+    closed_form = solver._closed_form
+    saddles, forms = [], []
+    monkeypatch.setattr(solver, "find_saddle", lambda *a: saddles.append(a) or find_saddle(*a))
+    monkeypatch.setattr(solver, "_closed_form", lambda *a: forms.append(a) or closed_form(*a))
     for cells in itertools.product(range(-2, 3), repeat=4):
         pm = PayoffMatrix.of([[(c, 0.1) for c in cells[:2]], [(c, 0.1) for c in cells[2:]]])
-        solved = solver._closed_form(pm.scaled_centers, pm.center_scale)
+        solved = closed_form(pm.scaled_centers, pm.center_scale)
         mixed = solved is not None and all(0 < p < 1 for p in (*solved[0], *solved[1]))
         assert (find_saddle(pm) is None) == mixed, cells
-        calls.clear()
+        saddles.clear()
+        forms.clear()
         kind = solve_2x2(pm).kind
-        assert (kind is SolutionKind.MIXED_2X2, len(calls)) == (mixed, int(not mixed)), cells
+        assert (kind is SolutionKind.MIXED_2X2, len(saddles), len(forms)) == (
+            mixed, int(not mixed), int(mixed)), cells
 
 
 @SETTINGS

@@ -111,6 +111,20 @@ class TestInterval:
         with pytest.raises(ValueError, match="halfwidth must be nonnegative, got -1"):
             Interval.from_midpoint(0, -1)
 
+    @pytest.mark.parametrize("field, ends", [("lo", (math.nan, 1)), ("hi", (0, math.nan))])
+    def test_nan_endpoint_rejected(self, field, ends):
+        # NaN compares false with everything, so the order check alone would let it in.
+        with pytest.raises(ValueError, match=f"^{field} must not be NaN$"):
+            Interval(*ends)
+        assert Interval(-math.inf, math.inf).hi == math.inf
+
+    @pytest.mark.parametrize("field, args", [
+        ("midpoint", (math.nan, 1)), ("halfwidth", (0, math.nan)),
+    ])
+    def test_nan_midpoint_form_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must not be NaN$"):
+            Interval.from_midpoint(*args)
+
     def test_di_interval_worked_case(self):
         # (152.5 - 115) / (5 + 2.5)
         assert di_interval(Interval(110, 120), Interval(150, 155)) == 5
@@ -167,6 +181,14 @@ class TestDiFuzzy:
     def test_negative_spread_rejected(self):
         with pytest.raises(ValueError, match="spreads must be nonnegative"):
             LRTriple(-1, 0, 0)
+
+    @pytest.mark.parametrize("field, args", [
+        ("left", (math.nan, 0, 1)), ("peak", (0, math.nan, 1)), ("right", (0, 0, math.nan)),
+    ])
+    def test_nan_field_rejected(self, field, args):
+        # A NaN field would give a NaN index and a "non-comparable" rank.
+        with pytest.raises(ValueError, match=f"^{field} must not be NaN$"):
+            LRTriple(*args)
 
     def test_infinite_operand_keeps_the_float_quotient(self):
         # An infinite peak has no exact value, so the float result stands.
