@@ -103,6 +103,8 @@ def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread:
     A crisp pair (both spreads zero) gives +/-inf, or 0.0 for equal peaks.
     A quotient that is not finite, or 0 for unequal peaks, becomes the rounded
     exact ``Fraction`` quotient, +/-inf past the float range; finite operands never give NaN.
+    An infinite operand keeps the float quotient, or 0.0 where it is undefined
+    (inf - inf, inf/inf), so no operand gives NaN.
     """
     width = lo_spread + hi_spread
     gap = hi_peak - lo_peak
@@ -117,7 +119,7 @@ def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread:
             exact = Fraction(hi_peak) - Fraction(lo_peak)
             exact /= Fraction(lo_spread) + Fraction(hi_spread)
         except (OverflowError, ValueError):  # an infinite or NaN operand has no exact value
-            return di
+            return di if di == di else 0.0  # inf - inf or inf/inf: non-comparable
         try:
             return float(exact)
         except OverflowError:  # past the float range: infinite, as for a crisp pair

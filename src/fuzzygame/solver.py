@@ -204,7 +204,7 @@ def find_saddle(
     """
     centers = pm.centers()
     row_min = tuple(min(row) for row in centers)
-    col_max = tuple(max(centers[i][j] for i in range(pm.rows)) for j in range(pm.cols))
+    col_max = tuple(map(max, zip(*centers)))
     if max(row_min) != min(col_max):
         return None
     best: tuple[int, int, FuzzyNum] | None = None
@@ -508,9 +508,9 @@ def enumerate_subgames(
     lexicographically first pair.
     """
     if pm.rows == 2 and pm.cols >= 3:
-        axis, size, minimize = Axis.COL, pm.cols, True
+        axis, size, prefer = Axis.COL, pm.cols, prefer_min
     elif pm.cols == 2 and pm.rows >= 3:
-        axis, size, minimize = Axis.ROW, pm.rows, False
+        axis, size, prefer = Axis.ROW, pm.rows, prefer_max
     else:
         raise ShapeError(
             f"sub-game enumeration needs a 2xn (n >= 3) or mx2 (m >= 3) matrix, "
@@ -523,7 +523,6 @@ def enumerate_subgames(
         sub = submatrix(pm, *keep)
         candidates.append(SubgameCandidate(pair, solve_2x2(sub, convention, attitude)))
 
-    prefer = prefer_min if minimize else prefer_max
     best = candidates[0]
     for cand in candidates[1:]:
         # Pessimistic: equal centers go to the smaller spread, exact ties to the earlier pair.
@@ -542,17 +541,24 @@ class ReductionResult:
     col_ids: tuple[int, ...]
 
 
-# The axis each scan of _first_deletion deletes on: plain rows, plain
-# columns, convex rows, convex columns, tried in this order.
-_SCAN_AXES = (Axis.ROW, Axis.COL, Axis.ROW, Axis.COL)
+# The scans of _first_deletion, tried in this order: the step a deletion
+# records, the axis it deletes on, whether a dominator blends two lines, and
+# the public test that decides it.
+_SCANS = (
+    (StepKind.ROW_DOMINANCE, Axis.ROW, False, "row_dominates"),
+    (StepKind.COL_DOMINANCE, Axis.COL, False, "col_dominates"),
+    (StepKind.CONVEX_ROW_DOMINANCE, Axis.ROW, True, "convex_row_dominates"),
+    (StepKind.CONVEX_COL_DOMINANCE, Axis.COL, True, "convex_col_dominates"),
+)
 
 
 def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> ReductionResult:
     """Apply dominance deletions until none applies.
 
-    Each round tries, in order: plain row dominance, plain column dominance,
-    convex-combination rows, convex-combination columns; the first scan
-    that finds a deletable strategy deletes the lowest-index one.
+    Each round tries the scans of ``_SCANS`` in order: plain row dominance,
+    plain column dominance, convex-combination rows, convex-combination
+    columns; the first scan that finds a deletable strategy deletes the
+    lowest-index one.
 
     No scan starts over: each resumes at its start, below which every line
     was tried on the current residual and is not deletable by it.  Deleting
@@ -565,7 +571,7 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
     """
     config = config or PipelineConfig()
     kept = {Axis.ROW: list(range(pm.rows)), Axis.COL: list(range(pm.cols))}  # original indices
-    starts = [0] * len(_SCAN_AXES)
+    starts = [0] * len(_SCANS)
     work = pm
     steps: list[ReductionStep] = []
     while (hit := _first_deletion(work, config, starts)) is not None:
@@ -574,7 +580,8 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
         steps.append(ReductionStep(kind, deleted, dominator, evidence))
         work = work.without(axis, pos)
         starts = [
-            start - (pos < start) if scan is axis else 0 for scan, start in zip(_SCAN_AXES, starts)
+            start - (pos < start) if scan_axis is axis else 0
+            for (_, scan_axis, _, _), start in zip(_SCANS, starts)
         ]
     return ReductionResult(work, tuple(steps), tuple(kept[Axis.ROW]), tuple(kept[Axis.COL]))
 
@@ -582,35 +589,25 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
 def _first_deletion(
     pm: PayoffMatrix, config: PipelineConfig, starts: list[int]
 ) -> tuple[StepKind, Axis, int, str, tuple[float, ...]] | None:
-    # Scan number ``scan`` (see _SCAN_AXES) runs from starts[scan] and leaves
-    # there the line it deletes, or the axis size when it finds none.  The
-    # four public tests are looked up here, at call time, so that a wrapper
-    # installed on the module sees every call.
-    rows = (Axis.ROW, pm.rows, pm.row_labels)
-    cols = (Axis.COL, pm.cols, pm.col_labels)
-    for scan, (kind, dominates, (axis, size, labels)) in enumerate((
-        (StepKind.ROW_DOMINANCE, row_dominates, rows),
-        (StepKind.COL_DOMINANCE, col_dominates, cols),
-    )):
+    # Scan number ``scan`` of _SCANS runs from starts[scan] and leaves there
+    # the line it deletes, or the axis size when it finds none.  Its public
+    # test is looked up here, at call time, so that a wrapper installed on
+    # the module sees every call.
+    for scan, (kind, axis, blend, test) in enumerate(_SCANS):
+        dominates = globals()[test]
+        size, labels = (pm.rows, pm.row_labels) if axis is Axis.ROW else (pm.cols, pm.col_labels)
+        setting = config.betas if blend else config.threshold
         for s in range(starts[scan], size):
-            for d in range(size):
-                if d != s:
-                    evidence = dominates(pm, d, s, config.threshold)
-                    if evidence is not None:
-                        starts[scan] = s
-                        return kind, axis, s, labels[d], evidence
-        starts[scan] = size
-    for scan, (kind, dominates, (axis, size, labels)) in enumerate((
-        (StepKind.CONVEX_ROW_DOMINANCE, convex_row_dominates, rows),
-        (StepKind.CONVEX_COL_DOMINANCE, convex_col_dominates, cols),
-    ), start=2):
-        for s in range(starts[scan], size):
-            others = [k for k in range(size) if k != s]
-            for p, q in itertools.combinations(others, 2):
-                hit = dominates(pm, p, q, s, config.betas)
+            for dominator in itertools.combinations(range(size), 2 if blend else 1):
+                if s in dominator:
+                    continue
+                hit = dominates(pm, *dominator, s, setting)
                 if hit is not None:
-                    beta, evidence = hit
                     starts[scan] = s
+                    if not blend:
+                        return kind, axis, s, labels[dominator[0]], hit
+                    beta, evidence = hit
+                    p, q = dominator
                     return kind, axis, s, _blend_label(beta, labels[p], labels[q]), evidence
         starts[scan] = size
     return None

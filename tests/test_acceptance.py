@@ -123,9 +123,7 @@ def test_criterion_3_subgame_enumeration(subgame_2x3):
     with criterion(3, "2x3 sub-game values 95/6, 16, 245/16; saddle sub-game; selection"):
         enum = enumerate_subgames(subgame_2x3)
         centers = [F(c.solution.value.center) for c in enum.candidates]
-        assert abs(float(centers[0] - F(95, 6))) <= 1e-12
-        assert abs(float(centers[1] - 16)) <= 1e-12
-        assert abs(float(centers[2] - F(245, 16))) <= 1e-12
+        assert centers == [F(95, 6), 16, F(245, 16)]
 
         saddle_sub = enum.candidates[1].solution
         assert saddle_sub.kind is SolutionKind.PURE_SADDLE
@@ -168,7 +166,7 @@ def test_criterion_4_simulation_end_to_end(simulation_3x4):
         assert sol.trace[2].dominator == "sub-game (B2, B4)"
 
         assert sol.x == (F(0), F(15, 16), F(1, 16))
-        assert abs(float(F(sol.value.center) - F(245, 16))) <= 1e-12
+        assert F(sol.value.center) == F(245, 16)
         assert sol.y == (F(0), F(11, 16), F(0), F(5, 16))
 
         # the other printed column mix fails the expected-payoff identity:

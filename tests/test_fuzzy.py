@@ -1,10 +1,11 @@
 """Fuzzy-number primitives: worked values plus algebraic properties."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzygame import (
     Attitude,
@@ -145,6 +146,10 @@ class TestInterval:
         di = di_interval(Interval(-1.7e308, 1.7e308), Interval(0, 1))
         assert di == 2.941176470588236e-309
 
+    def test_di_interval_unbounded_interval_is_non_comparable(self):
+        # The midpoint of (-inf, inf) is inf - inf: the index is 0.0, not NaN.
+        assert repr(di_interval(Interval(-math.inf, math.inf), Interval(0, 1))) == "0.0"
+
     def test_di_interval_degenerate(self):
         with pytest.raises(
             DegenerateComparisonError,
@@ -194,6 +199,10 @@ class TestDiFuzzy:
         # An infinite peak has no exact value, so the float result stands.
         assert di_fuzzy(LRTriple(1, math.inf, 1), LRTriple(1, 0, 1)) == -math.inf
 
+    def test_equal_infinite_peaks_are_non_comparable(self):
+        # inf - inf has no value: the index is 0.0, not NaN.
+        assert repr(di_fuzzy(LRTriple(1, math.inf, 1), LRTriple(1, math.inf, 1))) == "0.0"
+
 
 class TestRank:
     def test_totally_less(self):
@@ -217,6 +226,11 @@ class TestRank:
         assert rank(lr(5, 0), lr(3, 0)).di == -math.inf
         assert rank(lr(5, 0), lr(5, 0)).relation is Relation.NON_COMPARABLE
 
+    def test_equal_infinite_peaks_are_non_comparable(self):
+        r = rank(LRTriple(1, math.inf, 1), LRTriple(1, math.inf, 1))
+        assert r.relation is Relation.NON_COMPARABLE
+        assert repr(r.di) == "0.0"
+
     def test_overflowing_peaks_are_not_nan(self):
         # In floats both the peak gap and the spread sum overflow: inf/inf.
         r = rank(lr(1.7e308, 1.7e308), lr(-1.7e308, 1.7e308))
@@ -232,6 +246,14 @@ class TestRank:
 
 
 class TestDominanceIndex:
+    def test_infinite_gap_over_infinite_width_is_zero(self):
+        assert repr(dominance_index(0, math.inf, math.inf, math.inf)) == "0.0"
+
+    def test_no_infinite_or_finite_operands_give_nan(self):
+        values = (-math.inf, math.inf, 0, -0.0, 1, -2.5, 1e308, -1e308, 5e-324, F(1, 3))
+        for operands in itertools.product(values, repeat=4):
+            assert not math.isnan(dominance_index(*operands)), operands
+
     def test_int_quotient_beyond_float_range(self):
         # int / int raises OverflowError here; the exact quotient is past the float maximum.
         assert dominance_index(-MAX_MAGNITUDE, 0, MAX_MAGNITUDE, 1) == math.inf
@@ -269,6 +291,8 @@ class TestPreferences:
 peaks = st.floats(min_value=-50, max_value=50, allow_nan=False)
 spreads = st.floats(min_value=0.1, max_value=5, allow_nan=False)
 fuzzy_nums = st.builds(FuzzyNum, peaks, spreads)
+# The same examples on every run, so a run's verdict depends on the code alone.
+DERANDOMIZED = settings(derandomize=True)
 
 
 @st.composite
@@ -278,12 +302,14 @@ def trapezoids(draw):
 
 
 class TestDiProperties:
+    @DERANDOMIZED
     @given(a=fuzzy_nums, b=fuzzy_nums)
     def test_antisymmetry(self, a, b):
         assert di_fuzzy(a.as_lr_triple(), b.as_lr_triple()) == -di_fuzzy(
             b.as_lr_triple(), a.as_lr_triple()
         )
 
+    @DERANDOMIZED
     @given(a=fuzzy_nums, b=fuzzy_nums, t=peaks)
     def test_translation_invariance(self, a, b, t):
         before = di_fuzzy(a.as_lr_triple(), b.as_lr_triple())
@@ -293,6 +319,7 @@ class TestDiProperties:
         )
         assert after == pytest.approx(before, abs=1e-12)
 
+    @DERANDOMIZED
     @given(a=fuzzy_nums, b=fuzzy_nums, k=st.floats(min_value=0.1, max_value=10))
     def test_positive_scale_equivariance(self, a, b, k):
         before = di_fuzzy(a.as_lr_triple(), b.as_lr_triple())
@@ -302,6 +329,7 @@ class TestDiProperties:
         )
         assert after == pytest.approx(before, abs=1e-12)
 
+    @DERANDOMIZED
     @given(a=fuzzy_nums, b=fuzzy_nums)
     def test_consistency_with_interval_index(self, a, b):
         # support endpoints are rounded floats, so the midpoint view can be a
@@ -310,6 +338,7 @@ class TestDiProperties:
         over_triples = di_fuzzy(a.as_lr_triple(), b.as_lr_triple())
         assert over_supports == pytest.approx(over_triples, rel=1e-9, abs=1e-12)
 
+    @DERANDOMIZED
     @given(a=fuzzy_nums, b=fuzzy_nums)
     def test_rank_fields_consistent(self, a, b):
         r = rank(a.as_lr_triple(), b.as_lr_triple())
@@ -324,20 +353,23 @@ class TestDiProperties:
 
 
 class TestTrapezoidProperties:
+    @DERANDOMIZED
     @given(mf=trapezoids(), x=st.floats(min_value=-60, max_value=60, allow_nan=False))
     def test_range(self, mf, x):
         assert 0 <= trapezoid_eval(x, mf) <= 1
 
+    @DERANDOMIZED
     @given(mf=trapezoids(), t1=st.floats(0, 1), t2=st.floats(0, 1))
     def test_monotone_edges(self, mf, t1, t2):
+        # clamp, as for the plateau: the affine parametrization can overshoot
+        # the edge's end by an ulp, which reads 0 when that end is d
         lo, hi = sorted((t1, t2))
-        x1 = mf.a + lo * (mf.b - mf.a)
-        x2 = mf.a + hi * (mf.b - mf.a)
+        x1, x2 = (min(max(mf.a + t * (mf.b - mf.a), mf.a), mf.b) for t in (lo, hi))
         assert trapezoid_eval(x1, mf) <= trapezoid_eval(x2, mf)
-        x1 = mf.c + lo * (mf.d - mf.c)
-        x2 = mf.c + hi * (mf.d - mf.c)
+        x1, x2 = (min(max(mf.c + t * (mf.d - mf.c), mf.c), mf.d) for t in (lo, hi))
         assert trapezoid_eval(x1, mf) >= trapezoid_eval(x2, mf)
 
+    @DERANDOMIZED
     @given(mf=trapezoids(), t=st.floats(0, 1))
     def test_plateau_is_one(self, mf, t):
         # clamp: the affine parametrization can overshoot c by one ulp
@@ -346,6 +378,7 @@ class TestTrapezoidProperties:
 
 
 class TestIntervalProperties:
+    @DERANDOMIZED
     @given(
         m1=peaks, w1=spreads, m2=peaks, w2=spreads
     )
@@ -356,12 +389,14 @@ class TestIntervalProperties:
         assert total.midpoint == pytest.approx(i.midpoint + j.midpoint, abs=1e-12)
         assert total.halfwidth == pytest.approx(i.halfwidth + j.halfwidth, abs=1e-12)
 
+    @DERANDOMIZED
     @given(m=peaks, w=spreads)
     def test_views_round_trip(self, m, w):
         i = Interval.from_midpoint(m, w)
         assert i.midpoint == pytest.approx(m, abs=1e-12)
         assert i.halfwidth == pytest.approx(w, abs=1e-12)
 
+    @DERANDOMIZED
     @given(a=fuzzy_nums)
     def test_support_matches_lr_view(self, a):
         assert a.support().lo == a.center - a.spread
