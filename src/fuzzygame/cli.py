@@ -48,12 +48,12 @@ MAX_FRACTION_DENOMINATOR = 10**6
 def _number(value) -> str:
     """Table-mode rendering, each number once: n, n/d (decimal), or, when the
     denominator exceeds MAX_FRACTION_DENOMINATOR, the decimal alone."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    if q.denominator <= MAX_FRACTION_DENOMINATOR:
-        return f"{q.numerator}/{q.denominator} ({float(q)})"
-    return repr(float(q))
+    num, den = value.as_integer_ratio()
+    if den == 1:
+        return str(num)
+    if den <= MAX_FRACTION_DENOMINATOR:
+        return f"{num}/{den} ({float(value)})"
+    return repr(float(value))
 
 
 def _parse_fuzzy_arg(text: str) -> FuzzyNum:
@@ -115,9 +115,9 @@ def _solution_doc(solution: Solution) -> dict:
     return {
         "kind": solution.kind.value,
         "x": [float(p) for p in solution.x],
-        "x_exact": [str(Fraction(p)) for p in solution.x],
+        "x_exact": [str(p) for p in solution.x],
         "y": [float(p) for p in solution.y],
-        "y_exact": [str(Fraction(p)) for p in solution.y],
+        "y_exact": [str(p) for p in solution.y],
         "value": {
             "center": float(solution.value.center),
             "spread": float(solution.value.spread),

@@ -51,11 +51,13 @@ class Choice(Enum):
     B = "b"
 
 
-def _refuse_nan(**fields: float) -> None:
-    # NaN is the one value unequal to itself; the infinities stay accepted.
+def _refuse_unfit(**fields: float) -> None:
+    # Each field is a float-range number or +/-inf; NaN is the one value unequal to itself.
     for name, value in fields.items():
         if value != value:
             raise ValueError(f"{name} must not be NaN")
+        if not MIN_CENTER <= value <= MAX_MAGNITUDE and value not in (math.inf, -math.inf):
+            raise ValueError(f"{name} must be infinite or at most {float(MAX_MAGNITUDE):g} in magnitude")
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,13 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        _refuse_nan(lo=self.lo, hi=self.hi)
+        _refuse_unfit(lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     @classmethod
     def from_midpoint(cls, midpoint: float, halfwidth: float) -> "Interval":
-        _refuse_nan(midpoint=midpoint, halfwidth=halfwidth)
+        _refuse_unfit(midpoint=midpoint, halfwidth=halfwidth)
         if halfwidth < 0:
             raise ValueError(f"halfwidth must be nonnegative, got {halfwidth}")
         return cls(midpoint - halfwidth, midpoint + halfwidth)
@@ -100,6 +102,7 @@ def interval_add(i: Interval, j: Interval) -> Interval:
 def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread: float) -> float:
     """``(hi_peak - lo_peak) / (lo_spread + hi_spread)`` over the facing spreads, as a float.
 
+    Each operand is a float-range number or +/-inf, as the fuzzy types require of their fields.
     A crisp pair (both spreads zero) gives +/-inf, or 0.0 for equal peaks.
     A quotient that is not finite, or 0 for unequal peaks, becomes the rounded
     exact ``Fraction`` quotient, +/-inf past the float range; finite operands never give NaN.
@@ -150,7 +153,7 @@ class LRTriple:
     right: float
 
     def __post_init__(self) -> None:
-        _refuse_nan(left=self.left, peak=self.peak, right=self.right)
+        _refuse_unfit(left=self.left, peak=self.peak, right=self.right)
         if self.left < 0 or self.right < 0:
             raise ValueError(f"spreads must be nonnegative, got ({self.left}, {self.right})")
 
@@ -175,12 +178,13 @@ class FuzzyNum:
         return LRTriple(self.spread, self.center, self.spread)
 
     def support(self) -> Interval:
-        """``[center - spread, center + spread]`` in float arithmetic.
+        """``[center - spread, center + spread]``, in the fields' own arithmetic.
 
         An end past the float range is infinite (``<1.7e308, 1.7e308>`` has
         ``hi = inf``); the number itself and its dominance indices stay exact.
         """
-        return Interval(self.center - self.spread, self.center + self.spread)
+        lo, hi = self.center - self.spread, self.center + self.spread
+        return Interval(lo if lo >= MIN_CENTER else -math.inf, hi if hi <= MAX_MAGNITUDE else math.inf)
 
     @property
     def is_crisp(self) -> bool:

@@ -51,10 +51,11 @@ def _exact(cell: object) -> Fraction:
         raise ValueError(f"center game cell {cell!r} is not a finite number") from None
 
 
-def _whole(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def _on_grid(rows: Sequence[Sequence[float]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(ints, scale)``: ``scale`` is the lcm of the values' denominators, ``ints`` each value times it."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]  # ints, floats and Fractions alike
+    scale = math.lcm(*(den for row in ratios for _, den in row))
+    return tuple(tuple(num * (scale // den) for num, den in row) for row in ratios), scale
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,7 @@ class CenterGame:
 
     @cached_property
     def _integer_grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(ints, scale)``: ``scale`` is the lcm of the cell denominators, ``ints`` each cell times it."""
-        cells, scale = _whole([v for row in self.grid for v in row])
-        n = self.cols
-        return tuple(tuple(cells[k:k + n]) for k in range(0, len(cells), n)), scale
+        return _on_grid(self.grid)
 
 
 @dataclass(frozen=True)
@@ -229,17 +227,17 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
 
     The solution's x must earn at least the oracle value against every
     column of the original matrix, and its y must concede at most the oracle
-    value against every row.  Everything is exact, so all three tests demand
-    exact agreement.
+    value against every row.  Its numbers may be ints, floats or ``Fraction``s;
+    all are read exactly, so all three tests demand exact agreement.
     """
     game = CenterGame.from_payoff(pm)
     oracle = oracle_value(game)
     ints, scale = game._integer_grid
-    x, x_scale = _whole(solution.x)
-    y, y_scale = _whole(solution.y)
+    (x,), x_scale = _on_grid((solution.x,))
+    (y,), y_scale = _on_grid((solution.y,))
     floor, ceiling = _floor_ceiling(ints, x, y)
     x_floor, y_ceiling = Fraction(floor, x_scale * scale), Fraction(ceiling, y_scale * scale)
-    solution_center = Fraction(solution.value.center)
+    solution_center = Fraction(*solution.value.center.as_integer_ratio())
     return OracleReport(
         oracle_center=oracle.value,
         solution_center=solution_center,

@@ -139,9 +139,7 @@ class _Grid(tuple):
         for beta in grid:
             if not 0 <= beta <= 1:
                 raise ValueError(f"convex coefficients must lie in [0, 1], got {beta}")
-        # A float's own ratio is Fraction(float)'s, at a tenth of the cost.
-        grid.exact = tuple(
-            (b if type(b) is float else Fraction(b)).as_integer_ratio() for b in grid)
+        grid.exact = tuple(b.as_integer_ratio() for b in grid)
         return grid
 
 
@@ -284,7 +282,7 @@ def _blends(
     # Exact rational blend keeps the dominance comparisons deterministic.
     # With beta = bn/bd, u = un/ud and v = vn/vd, beta*u + (1 - beta)*v is
     # one integer numerator over bd*ud*vd, normalised once.
-    bn, bd = Fraction(beta).as_integer_ratio()
+    bn, bd = beta.as_integer_ratio()
     rest = bd - bn
 
     def blend(u, v) -> Fraction:
@@ -463,19 +461,17 @@ def _closed_form(
 def _endpoint_grid(pm: PayoffMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The right endpoints ``center + spread`` as an integer grid and its positive scale.
 
-    Each exact sum is ``(cn*sd + sn*cd) / (cd*sd)``; the scale is the lcm
-    of those denominators, as :attr:`PayoffMatrix.scaled_centers` is for the centers.
+    The centers are already on :attr:`PayoffMatrix.scaled_centers`, so only
+    the spreads' ratios are read; the scale is the lcm of
+    :attr:`PayoffMatrix.center_scale` and the spread denominators.
     """
-    sums = []
-    for row in pm.entries:
-        line = []
-        for e in row:
-            cn, cd = e.center.as_integer_ratio()
-            sn, sd = e.spread.as_integer_ratio()
-            line.append((cn * sd + sn * cd, cd * sd))
-        sums.append(line)
-    scale = math.lcm(*(den for line in sums for _, den in line))
-    return tuple(tuple(num * (scale // den) for num, den in line) for line in sums), scale
+    spreads = [[e.spread.as_integer_ratio() for e in row] for row in pm.entries]
+    scale = math.lcm(pm.center_scale, *(den for row in spreads for _, den in row))
+    lift = scale // pm.center_scale
+    return tuple(
+        tuple(c * lift + num * (scale // den) for c, (num, den) in zip(centers, row))
+        for centers, row in zip(pm.scaled_centers, spreads)
+    ), scale
 
 
 @dataclass(frozen=True)
@@ -690,7 +686,7 @@ def _repaired_subgame_solution(
     guarantee; such a donor always exists.  The check runs on
     :attr:`PayoffMatrix.scaled_centers` against the value times
     :attr:`PayoffMatrix.center_scale`; the column player's guarantee is the
-    row player's on the negated transpose, read in place, against -value.
+    row player's on the negated transpose, its columns a negated copy of the rows, against -value.
     """
     solution = chosen.solution
     value = Fraction(solution.value.center) * work.center_scale
@@ -734,7 +730,7 @@ def _expected(
 
 
 def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
-    if _expected(pm, solution.x, solution.y, "center") != Fraction(solution.value.center):
+    if _expected(pm, solution.x, solution.y, "center") != solution.value.center:
         raise RuntimeError(
             "internal consistency: expected payoff does not match the value center"
         )

@@ -51,6 +51,12 @@ class TestFuzzyNum:
         assert FuzzyNum(Fraction(245, 16), Fraction(1, 3)).center == Fraction(245, 16)
         assert FuzzyNum(-1.7976931348623157e308, 1.7976931348623157e308).spread > 0
 
+    def test_support_end_past_float_range_is_infinite(self):
+        # The same for float and int fields; an exact end there would be refused by Interval.
+        assert FuzzyNum(1.7e308, 1.7e308).support() == Interval(0.0, math.inf)
+        assert FuzzyNum(-MAX_MAGNITUDE, 1).support() == Interval(-math.inf, 1 - MAX_MAGNITUDE)
+        assert FuzzyNum(F(1, 3), F(1, 6)).support() == Interval(F(1, 6), F(1, 2))
+
 
 class TestTrapezoid:
     def test_plateau(self):
@@ -126,6 +132,23 @@ class TestInterval:
         with pytest.raises(ValueError, match=f"^{field} must not be NaN$"):
             Interval.from_midpoint(*args)
 
+    @pytest.mark.parametrize("field, ends", [
+        ("lo", (10**400, 10**401)), ("hi", (1.5, 10**400)),
+        ("lo", (-10**400, 0)), ("hi", (0, F(10) ** 400)),
+    ])
+    def test_endpoint_past_float_range_rejected(self, field, ends):
+        # Its midpoint or halfwidth would raise OverflowError when read.
+        with pytest.raises(ValueError, match=f"^{field} must be infinite or at most 1.79769e\\+308"):
+            Interval(*ends)
+        assert Interval(-MAX_MAGNITUDE, MAX_MAGNITUDE).midpoint == 0
+
+    @pytest.mark.parametrize("field, args", [
+        ("midpoint", (10**400, 1)), ("halfwidth", (0, 10**400)),
+    ])
+    def test_midpoint_form_past_float_range_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be infinite or at most"):
+            Interval.from_midpoint(*args)
+
     def test_di_interval_worked_case(self):
         # (152.5 - 115) / (5 + 2.5)
         assert di_interval(Interval(110, 120), Interval(150, 155)) == 5
@@ -194,6 +217,16 @@ class TestDiFuzzy:
         # A NaN field would give a NaN index and a "non-comparable" rank.
         with pytest.raises(ValueError, match=f"^{field} must not be NaN$"):
             LRTriple(*args)
+
+    @pytest.mark.parametrize("field, args", [
+        ("left", (10**400, 0, 1)), ("peak", (1, 10**400, 1)), ("right", (0, 0, F(10) ** 400)),
+        ("peak", (1, -10**400, 1)),
+    ])
+    def test_field_past_float_range_rejected(self, field, args):
+        # An int past the float range would raise OverflowError in the index.
+        with pytest.raises(ValueError, match=f"^{field} must be infinite or at most"):
+            LRTriple(*args)
+        assert LRTriple(MAX_MAGNITUDE, -MAX_MAGNITUDE, math.inf).peak == -MAX_MAGNITUDE
 
     def test_infinite_operand_keeps_the_float_quotient(self):
         # An infinite peak has no exact value, so the float result stands.

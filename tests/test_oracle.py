@@ -186,6 +186,24 @@ class TestOracleCheck:
         assert report.passed
         assert report.oracle_center == 16
 
+    def test_float_strategies_are_read_exactly(self):
+        # Solution accepts float strategies; the oracle reads their exact ratios.
+        pm = PayoffMatrix.of([[(1, 0.1), (0, 0.1)], [(0, 0.1), (1, 0.1)]])
+        half = Solution((0.5, 0.5), (0.5, 0.5), FuzzyNum(0.5, 0.1), SolutionKind.MIXED_2X2, ())
+        report = oracle_check(pm, half)
+        assert report.passed
+        assert (report.oracle_center, report.x_floor, report.y_ceiling) == (F(1, 2),) * 3
+
+    def test_int_strategies_read_as_their_fractions(self):
+        pm = PayoffMatrix.of([[(1, 0.1), (0, 0.1)], [(0, 0.1), (1, 0.1)]])
+
+        def report(x, y):
+            return oracle_check(pm, Solution(x, y, FuzzyNum(0.5, 0.1), SolutionKind.MIXED_2X2, ()))
+
+        exact = report((F(1), F(0)), (F(0), F(1)))
+        assert report((1, 0), (0, 1)) == exact
+        assert not exact.passed and (exact.x_floor, exact.y_ceiling) == (0, 1)
+
 
 class TestSolverAgainstOracleBeyondEight:
     def test_planted_games_9_to_16(self, planted_game):

@@ -37,6 +37,7 @@ from fuzzygame import (
     solve_pipeline,
     submatrix,
 )
+from fuzzygame.fuzzy import dominance_index
 from fuzzygame.solver import Solution, _assert_expected_payoff, _lines
 
 
@@ -121,6 +122,14 @@ class TestColDominance:
             col_dominates(dominance_3x3, 1, 1)
 
 
+def _exact_half_blend(first, second):
+    # (center, spread) of each entry of the 1/2 : 1/2 blend, as exact Fractions.
+    return [
+        (F(a.center) / 2 + F(b.center) / 2, F(a.spread) / 2 + F(b.spread) / 2)
+        for a, b in zip(first, second)
+    ]
+
+
 class TestConvexDominance:
     def test_blend_of_lower_rows_beats_first(self, convex_3x3):
         hit = convex_row_dominates(convex_3x3, 1, 2, 0, betas=(0.5,))
@@ -130,17 +139,14 @@ class TestConvexDominance:
         assert len(evidence) == 3
 
     def test_virtual_row_entries(self, convex_3x3):
-        # beta = 0.5 blend of rows 2 and 3
-        blend = [
-            (
-                0.5 * convex_3x3.entry(1, j).center + 0.5 * convex_3x3.entry(2, j).center,
-                0.5 * convex_3x3.entry(1, j).spread + 0.5 * convex_3x3.entry(2, j).spread,
-            )
-            for j in range(3)
-        ]
-        assert blend[0] == pytest.approx((1, 0.35), abs=1e-12)
-        assert blend[1] == pytest.approx((2, 0.35), abs=1e-12)
-        assert blend[2] == pytest.approx((2, 0.30), abs=1e-12)
+        # beta = 0.5 blend of rows 2 and 3, each entry over row 1's: centers (1, 2, 2)
+        _, evidence = convex_row_dominates(convex_3x3, 1, 2, 0, betas=(0.5,))
+        blend = _exact_half_blend(convex_3x3.row(1), convex_3x3.row(2))
+        assert [c for c, _ in blend] == [1, 2, 2]
+        assert evidence == tuple(
+            dominance_index(s.center, s.spread, c, w)
+            for s, (c, w) in zip(convex_3x3.row(0), blend)
+        )
 
     def test_beta_one_is_plain_row_p(self):
         pm = PayoffMatrix.of([[(0, 0.1)] * 2, [(5, 0.1)] * 2, [(1, 0.1)] * 2])
@@ -159,15 +165,13 @@ class TestConvexDominance:
         assert hit is not None
         alpha, evidence = hit
         assert alpha == 0.5
-        blend = [
-            (
-                0.5 * after_row.entry(i, 0).center + 0.5 * after_row.entry(i, 1).center,
-                0.5 * after_row.entry(i, 0).spread + 0.5 * after_row.entry(i, 1).spread,
-            )
-            for i in range(2)
-        ]
-        assert blend[0] == pytest.approx((2, 0.4), abs=1e-12)
-        assert blend[1] == pytest.approx((1, 0.3), abs=1e-12)
+        # The blend of columns 1 and 2, centers (2, 1), each entry under column 3's.
+        blend = _exact_half_blend(after_row.col(0), after_row.col(1))
+        assert [c for c, _ in blend] == [2, 1]
+        assert evidence == tuple(
+            dominance_index(c, w, s.center, s.spread)
+            for (c, w), s in zip(blend, after_row.col(2))
+        )
 
     def test_indices_must_be_distinct(self, convex_3x3):
         with pytest.raises(ValueError):
