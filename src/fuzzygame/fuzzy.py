@@ -94,9 +94,20 @@ class Interval:
         return half if half - half == 0 else self.hi / 2 - self.lo / 2
 
 
+def _in_float_range(value: float) -> float:
+    # An exact value past the float range as the infinity of its sign; any other value as it is.
+    if value > MAX_MAGNITUDE:
+        return math.inf
+    return -math.inf if value < MIN_CENTER else value
+
+
 def interval_add(i: Interval, j: Interval) -> Interval:
-    """Endpoint-wise sum; midpoints and halfwidths add."""
-    return Interval(i.lo + j.lo, i.hi + j.hi)
+    """Endpoint-wise sum; midpoints and halfwidths add.
+
+    An end past the float range is infinite, in float and exact arithmetic
+    alike, as in :meth:`FuzzyNum.support`.
+    """
+    return Interval(_in_float_range(i.lo + j.lo), _in_float_range(i.hi + j.hi))
 
 
 def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread: float) -> float:
@@ -158,21 +169,29 @@ class LRTriple:
             raise ValueError(f"spreads must be nonnegative, got ({self.left}, {self.right})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuzzyNum:
-    """Symmetric trapezoidal fuzzy number <center, spread>."""
+    """Symmetric trapezoidal fuzzy number <center, spread>.
+
+    A frozen dataclass with its own ``__init__``, which checks both fields and
+    stores them in one step: cheaper, on every parsed entry, than a generated
+    frozen ``__init__`` followed by a ``__post_init__``.
+    """
 
     center: float
     spread: float
 
-    def __post_init__(self) -> None:
-        if self.spread < 0:
-            raise ValueError(f"spread must be nonnegative, got {self.spread}")
-        if not (MIN_CENTER <= self.center <= MAX_MAGNITUDE and self.spread <= MAX_MAGNITUDE):
+    def __init__(self, center: float, spread: float) -> None:
+        if spread < 0:
+            raise ValueError(f"spread must be nonnegative, got {spread}")
+        if not (MIN_CENTER <= center <= MAX_MAGNITUDE and spread <= MAX_MAGNITUDE):
             raise ValueError(
                 f"center and spread must be finite with magnitude at most "
-                f"{float(MAX_MAGNITUDE):g}, got {self}"
+                f"{float(MAX_MAGNITUDE):g}, got <{center}, {spread}>"
             )
+        fields = self.__dict__
+        fields["center"] = center
+        fields["spread"] = spread
 
     def as_lr_triple(self) -> LRTriple:
         return LRTriple(self.spread, self.center, self.spread)
@@ -183,8 +202,9 @@ class FuzzyNum:
         An end past the float range is infinite (``<1.7e308, 1.7e308>`` has
         ``hi = inf``); the number itself and its dominance indices stay exact.
         """
-        lo, hi = self.center - self.spread, self.center + self.spread
-        return Interval(lo if lo >= MIN_CENTER else -math.inf, hi if hi <= MAX_MAGNITUDE else math.inf)
+        return Interval(
+            _in_float_range(self.center - self.spread), _in_float_range(self.center + self.spread)
+        )
 
     @property
     def is_crisp(self) -> bool:

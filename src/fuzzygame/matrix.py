@@ -150,22 +150,26 @@ class PayoffMatrix:
         """This matrix with line ``pos`` of ``axis`` left out, labels included.
 
         The same matrix as :func:`submatrix` on every other index, built by
-        slicing one line out of this matrix's entries and labels.
+        slicing one line out of this matrix's entries and labels.  It is not
+        validated again: lines cut out of a valid matrix leave rows of one
+        length and labels that do not repeat, so only the position and the
+        last line of an axis need a check.
         """
         size = self.rows if axis is Axis.ROW else self.cols
         if not 0 <= pos < size:
             raise SelectionError(f"{axis.value} {pos} out of range for size {size}")
+        if size == 1:
+            raise EmptyMatrixError("matrix must have at least one row and one column")
+        entries, row_labels, col_labels = self.entries, self.row_labels, self.col_labels
         if axis is Axis.ROW:
-            return PayoffMatrix(
-                self.entries[:pos] + self.entries[pos + 1:],
-                self.row_labels[:pos] + self.row_labels[pos + 1:],
-                self.col_labels,
-            )
-        return PayoffMatrix(
-            tuple([row[:pos] + row[pos + 1:] for row in self.entries]),
-            self.row_labels,
-            self.col_labels[:pos] + self.col_labels[pos + 1:],
-        )
+            entries = entries[:pos] + entries[pos + 1:]
+            row_labels = row_labels[:pos] + row_labels[pos + 1:]
+        else:
+            entries = tuple([row[:pos] + row[pos + 1:] for row in entries])
+            col_labels = col_labels[:pos] + col_labels[pos + 1:]
+        residual = object.__new__(PayoffMatrix)
+        residual.__dict__.update(entries=entries, row_labels=row_labels, col_labels=col_labels)
+        return residual
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(e.center for e in row) for row in self.entries)

@@ -95,7 +95,16 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class Solution:
-    """Mixed strategies over the ORIGINAL indices, fuzzy value, and trace."""
+    """Mixed strategies over the ORIGINAL indices, fuzzy value, and trace.
+
+    Each strategy vector must lie in [0, 1] entrywise and sum to 1, and no
+    deleted strategy may carry probability.  A vector whose nonzero entries
+    are all ints and ``Fraction``\\ s (the solver's own) is checked on their
+    integer ratios: ``0 <= num <= den`` per entry, and one numerator over a
+    common denominator for the sum.  Any other vector, floats or bools
+    among its entries, is checked in its own arithmetic, so a float vector
+    sums as floats do.
+    """
 
     x: tuple[Fraction, ...]
     y: tuple[Fraction, ...]
@@ -104,18 +113,29 @@ class Solution:
     trace: tuple[ReductionStep, ...]
 
     def __post_init__(self) -> None:
-        vectors = {Axis.ROW: self.x, Axis.COL: self.y}
         for name, vec in (("x", self.x), ("y", self.y)):
             # A vector is padded to the original game with exact zeros, which
             # pass the range check and add nothing to the sum.
             support = [p for p in vec if p]
-            if any(p < 0 or p > 1 for p in support):
-                raise ValueError(f"{name} is not a probability vector: {vec}")
-            if sum(support) != 1:
+            if all(type(p) is Fraction or type(p) is int for p in support):
+                num, den = 0, 1
+                for p in support:
+                    n, d = p.numerator, p.denominator
+                    if not 0 <= n <= d:
+                        raise ValueError(f"{name} is not a probability vector: {vec}")
+                    num, den = num * d + n * den, den * d
+                total_is_one = num == den
+            else:
+                if any(p < 0 or p > 1 for p in support):
+                    raise ValueError(f"{name} is not a probability vector: {vec}")
+                total_is_one = sum(support) == 1
+            if not total_is_one:
                 raise ValueError(f"{name} does not sum to 1: {vec}")
         for step in self.trace:
             deleted = step.deleted
-            if deleted is not None and vectors[deleted.axis][deleted.index]:
+            if deleted is None:
+                continue
+            if (self.x if deleted.axis is Axis.ROW else self.y)[deleted.index]:
                 raise ValueError(
                     f"deleted strategy {step.deleted} carries nonzero probability"
                 )
@@ -216,6 +236,8 @@ def find_saddle(
 
 
 def _check_index(pm: PayoffMatrix, axis: Axis, *indices: int) -> None:
+    # The public tests call this only when their one chained comparison
+    # fails; it names the fault: a repeated index first, then one out of range.
     if len(set(indices)) != len(indices):
         raise ValueError(f"{axis.value} indices {indices} must be distinct")
     size = pm.rows if axis is Axis.ROW else pm.cols
@@ -234,8 +256,11 @@ def row_dominates(
     index.  A positive ``threshold`` additionally requires every per-column
     dominance index to reach it.
     """
-    _check_index(pm, Axis.ROW, i, r)
-    return _covers(pm.entries[i], pm.entries[r], i < r, threshold)
+    entries = pm.entries
+    size = len(entries)
+    if not (0 <= i < size and 0 <= r < size and i != r):
+        _check_index(pm, Axis.ROW, i, r)
+    return _covers(entries[i], entries[r], i < r, threshold)
 
 
 def col_dominates(
@@ -248,8 +273,10 @@ def col_dominates(
     Negating the centers turns "at most" into "at least", so this is the
     row test with column ``s`` on top of column ``j``.
     """
-    _check_index(pm, Axis.COL, j, s)
     columns = pm.columns
+    size = len(columns)
+    if not (0 <= j < size and 0 <= s < size and j != s):
+        _check_index(pm, Axis.COL, j, s)
     return _covers(columns[s], columns[j], j < s, threshold)
 
 
@@ -360,7 +387,9 @@ def convex_row_dominates(
     the answer, and only its blend is built, for the evidence.  Every
     coefficient must lie in [0, 1].
     """
-    _check_index(pm, Axis.ROW, p, q, s)
+    size = pm.rows
+    if not (0 <= p < size and 0 <= q < size and 0 <= s < size and p != q and p != s and q != s):
+        _check_index(pm, Axis.ROW, p, q, s)
     beta = _first_feasible(_lines(pm, Axis.ROW, p, q, s), betas)
     if beta is None:
         return None
@@ -380,7 +409,9 @@ def convex_col_dominates(
     columns, the blend below column s, as for plain column dominance; on
     negated centers, an index of -0.0 at a center of -0.0 would lose its sign.
     """
-    _check_index(pm, Axis.COL, p, q, s)
+    size = pm.cols
+    if not (0 <= p < size and 0 <= q < size and 0 <= s < size and p != q and p != s and q != s):
+        _check_index(pm, Axis.COL, p, q, s)
     alpha = _first_feasible(_lines(pm, Axis.COL, p, q, s), alphas)
     if alpha is None:
         return None
@@ -585,26 +616,34 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
 def _first_deletion(
     pm: PayoffMatrix, config: PipelineConfig, starts: list[int]
 ) -> tuple[StepKind, Axis, int, str, tuple[float, ...]] | None:
-    # Scan number ``scan`` of _SCANS runs from starts[scan] and leaves there
-    # the line it deletes, or the axis size when it finds none.  Its public
-    # test is looked up here, at call time, so that a wrapper installed on
-    # the module sees every call.
+    """The first deletion the scans of ``_SCANS`` find, each resumed at its start, or None.
+
+    Scan number ``scan`` runs from starts[scan] and leaves there the line it
+    deletes, or the axis size when it finds none.  For each line ``s`` it
+    calls its public test on every dominator, in ``itertools.combinations``
+    order over the other lines: each ``d`` for a plain test, each pair
+    ``p < q`` for a blend.  The test is looked up here, at call time, so
+    that a wrapper installed on the module sees every call.
+    """
     for scan, (kind, axis, blend, test) in enumerate(_SCANS):
         dominates = globals()[test]
         size, labels = (pm.rows, pm.row_labels) if axis is Axis.ROW else (pm.cols, pm.col_labels)
         setting = config.betas if blend else config.threshold
         for s in range(starts[scan], size):
-            for dominator in itertools.combinations(range(size), 2 if blend else 1):
-                if s in dominator:
-                    continue
-                hit = dominates(pm, *dominator, s, setting)
-                if hit is not None:
-                    starts[scan] = s
-                    if not blend:
-                        return kind, axis, s, labels[dominator[0]], hit
-                    beta, evidence = hit
-                    p, q = dominator
-                    return kind, axis, s, _blend_label(beta, labels[p], labels[q]), evidence
+            if blend:
+                for p in range(size):
+                    if p == s:
+                        continue
+                    for q in range(p + 1, size):
+                        if q != s and (hit := dominates(pm, p, q, s, setting)) is not None:
+                            starts[scan] = s
+                            beta, evidence = hit
+                            return kind, axis, s, _blend_label(beta, labels[p], labels[q]), evidence
+            else:
+                for d in range(size):
+                    if d != s and (evidence := dominates(pm, d, s, setting)) is not None:
+                        starts[scan] = s
+                        return kind, axis, s, labels[d], evidence
         starts[scan] = size
     return None
 

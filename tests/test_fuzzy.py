@@ -110,6 +110,17 @@ class TestInterval:
         assert total.midpoint == 267.5
         assert total.halfwidth == 7.5
 
+    def test_addition_past_the_float_range_is_infinite(self):
+        # An exact end past the float range is the infinity of its sign, as a float sum's is.
+        top = Interval(math.inf, math.inf)
+        assert interval_add(Interval(MAX_MAGNITUDE, MAX_MAGNITUDE), Interval(1, 1)) == top
+        assert interval_add(Interval(-MAX_MAGNITUDE, 0), Interval(-1, 0)) == Interval(-math.inf, 0)
+        assert interval_add(Interval(1.7e308, 1.7e308), Interval(1e308, 1e308)) == top
+        assert interval_add(Interval(F(MAX_MAGNITUDE), F(MAX_MAGNITUDE)), Interval(0, F(1, 2))) == (
+            Interval(MAX_MAGNITUDE, math.inf))
+        assert interval_add(Interval(MAX_MAGNITUDE - 1, MAX_MAGNITUDE), Interval(0, 1)) == (
+            Interval(MAX_MAGNITUDE - 1, math.inf))
+
     def test_inverted_endpoints_rejected(self):
         with pytest.raises(ValueError):
             Interval(2, 1)
