@@ -71,14 +71,6 @@ class StrategyIndex:
     index: int
 
 
-def default_row_labels(m: int) -> tuple[str, ...]:
-    return tuple(f"A{i + 1}" for i in range(m))
-
-
-def default_col_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"B{j + 1}" for j in range(n))
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Rectangular grid of fuzzy payoffs with row/column strategy labels."""
@@ -115,14 +107,8 @@ class PayoffMatrix:
         col_labels: Sequence[str] | None = None,
     ) -> "PayoffMatrix":
         """Build a matrix from FuzzyNum entries or plain (center, spread) pairs."""
-        grid = tuple(
-            tuple(e if isinstance(e, FuzzyNum) else FuzzyNum(*e) for e in row)
-            for row in entries
-        )
-        n = len(grid[0]) if grid else 0  # the constructor refuses an empty grid
-        rows = tuple(row_labels) if row_labels is not None else default_row_labels(len(grid))
-        cols = tuple(col_labels) if col_labels is not None else default_col_labels(n)
-        return cls(grid, rows, cols)
+        grid = [tuple(e if isinstance(e, FuzzyNum) else FuzzyNum(*e) for e in row) for row in entries]
+        return _labelled(cls, grid, row_labels, col_labels)
 
     @property
     def rows(self) -> int:
@@ -150,10 +136,9 @@ class PayoffMatrix:
         """This matrix with line ``pos`` of ``axis`` left out, labels included.
 
         The same matrix as :func:`submatrix` on every other index, built by
-        slicing one line out of this matrix's entries and labels.  It is not
-        validated again: lines cut out of a valid matrix leave rows of one
-        length and labels that do not repeat, so only the position and the
-        last line of an axis need a check.
+        slicing one line out of this matrix's entries and labels.  Like every
+        cut, it is not checked again (see :func:`_cut`): only the position
+        and the last line of an axis need a check.
         """
         size = self.rows if axis is Axis.ROW else self.cols
         if not 0 <= pos < size:
@@ -167,9 +152,7 @@ class PayoffMatrix:
         else:
             entries = tuple([row[:pos] + row[pos + 1:] for row in entries])
             col_labels = col_labels[:pos] + col_labels[pos + 1:]
-        residual = object.__new__(PayoffMatrix)
-        residual.__dict__.update(entries=entries, row_labels=row_labels, col_labels=col_labels)
-        return residual
+        return _cut(entries, row_labels, col_labels)
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(e.center for e in row) for row in self.entries)
@@ -193,8 +176,34 @@ class PayoffMatrix:
         )
 
 
+def _cut(entries: tuple, row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> PayoffMatrix:
+    """The matrix of parts cut from a checked matrix, built without ``__post_init__``.
+
+    Lines and labels kept at distinct positions of a valid matrix, in order,
+    cannot be ragged or repeat a label, so they are not checked again.
+    """
+    pm = object.__new__(PayoffMatrix)
+    pm.__dict__.update(entries=entries, row_labels=row_labels, col_labels=col_labels)
+    return pm
+
+
+def _labelled(
+    cls: type[PayoffMatrix], grid: Sequence, rows: Sequence[str] | None, cols: Sequence[str] | None
+) -> PayoffMatrix:
+    """The checked ``cls`` of outside data; labels not given default to A1..Am and B1..Bn."""
+    n = len(grid[0]) if grid else 0  # the constructor refuses an empty or ragged grid
+    rows = tuple(rows) if rows is not None else tuple(f"A{i + 1}" for i in range(len(grid)))
+    cols = tuple(cols) if cols is not None else tuple(f"B{j + 1}" for j in range(n))
+    return cls(tuple(grid), rows, cols)
+
+
 def parse_matrix(text: str) -> PayoffMatrix:
-    """Parse a matrix document; every failure is a MatrixError saying what is wrong where."""
+    """Parse a matrix document; every failure is a MatrixError saying what is wrong where.
+
+    Each cell's numbers are judged by :class:`FuzzyNum` alone; its refusal
+    is a :class:`NegativeSpreadError` when the spread is negative, else a
+    :class:`NonFiniteNumberError`.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -230,19 +239,17 @@ def parse_matrix(text: str) -> PayoffMatrix:
                 or type(cell[1]) not in (int, float)
             ):
                 raise MatrixSyntaxError(f"{_where(i, j)}: expected a [center, spread] pair")
-            center, spread = cell
-            if spread < 0:
-                raise NegativeSpreadError(f"{_where(i, j)}: spread {spread} is negative")
             try:
-                cells.append(FuzzyNum(center, spread))
+                cells.append(FuzzyNum(*cell))
             except ValueError as exc:
+                if cell[1] < 0:
+                    raise NegativeSpreadError(f"{_where(i, j)}: spread {cell[1]} is negative") from None
                 raise NonFiniteNumberError(f"{_where(i, j)}: {exc}") from None
         grid.append(tuple(cells))
 
-    n = len(grid[0]) if grid else 0  # PayoffMatrix refuses an empty or ragged grid
-    row_labels = _parse_labels(doc.get("rows"), len(grid), "rows") or default_row_labels(len(grid))
-    col_labels = _parse_labels(doc.get("cols"), n, "cols") or default_col_labels(n)
-    return PayoffMatrix(tuple(grid), row_labels, col_labels)
+    row_labels = _parse_labels(doc.get("rows"), len(grid), "rows")
+    col_labels = _parse_labels(doc.get("cols"), len(grid[0]) if grid else 0, "cols")
+    return _labelled(PayoffMatrix, grid, row_labels, col_labels)
 
 
 def _where(i: int, j: int) -> str:
@@ -287,7 +294,10 @@ def serialize_matrix(pm: PayoffMatrix) -> str:
 def submatrix(
     pm: PayoffMatrix, keep_rows: Iterable[int], keep_cols: Iterable[int]
 ) -> PayoffMatrix:
-    """Restrict to the given row/column indices (kept in ascending order)."""
+    """Restrict to the given row/column indices (kept in ascending order).
+
+    The selection is checked; the lines it cuts are not (see :func:`_cut`).
+    """
     rows = sorted(set(keep_rows))
     cols = sorted(set(keep_cols))
     if not rows or not cols:
@@ -297,7 +307,7 @@ def submatrix(
     if cols[0] < 0 or cols[-1] >= pm.cols:
         raise SelectionError(f"column selection {cols} out of range for {pm.cols} columns")
     entries = pm.entries
-    return PayoffMatrix(
+    return _cut(
         tuple([tuple([entries[i][j] for j in cols]) for i in rows]),
         tuple([pm.row_labels[i] for i in rows]),
         tuple([pm.col_labels[j] for j in cols]),

@@ -28,8 +28,10 @@ denominator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -102,8 +104,9 @@ class Solution:
     are all ints and ``Fraction``\\ s (the solver's own) is checked on their
     integer ratios: ``0 <= num <= den`` per entry, and one numerator over a
     common denominator for the sum.  Any other vector, floats or bools
-    among its entries, is checked in its own arithmetic, so a float vector
-    sums as floats do.
+    among its entries, is checked in its own arithmetic, its entries added
+    left to right, so a float vector sums as floats do, and gets the same
+    verdict on every Python version.
     """
 
     x: tuple[Fraction, ...]
@@ -128,7 +131,8 @@ class Solution:
             else:
                 if any(p < 0 or p > 1 for p in support):
                     raise ValueError(f"{name} is not a probability vector: {vec}")
-                total_is_one = sum(support) == 1
+                # Left to right: from Python 3.12, sum() adds floats with compensation.
+                total_is_one = functools.reduce(operator.add, support, 0) == 1
             if not total_is_one:
                 raise ValueError(f"{name} does not sum to 1: {vec}")
         for step in self.trace:

@@ -7,8 +7,11 @@ passes bad input directly still gets: the same error type and message.
 
 import copy
 import dataclasses
+import functools
 import itertools
+import json
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction as F
@@ -19,6 +22,8 @@ from fuzzygame import (
     Axis,
     EmptyMatrixError,
     FuzzyNum,
+    NegativeSpreadError,
+    NonFiniteNumberError,
     PayoffMatrix,
     SelectionError,
     SolutionKind,
@@ -27,6 +32,7 @@ from fuzzygame import (
     col_dominates,
     convex_col_dominates,
     convex_row_dominates,
+    parse_matrix,
     row_dominates,
     submatrix,
 )
@@ -39,6 +45,16 @@ def _game(rng, m, n):
         row_labels=[f"r{i}" for i in range(m)],
         col_labels=[f"c{j}" for j in range(n)],
     )
+
+
+def _assert_same_matrix(got, want):
+    assert type(got) is PayoffMatrix
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert got.columns == want.columns
+    assert got.scaled_centers == want.scaled_centers
+    assert got.center_scale == want.center_scale
 
 
 class TestWithout:
@@ -84,15 +100,111 @@ class TestWithout:
                 got = pm.without(axis, pos)
                 want = submatrix(pm, *((kept, range(pm.cols)) if axis is Axis.ROW
                                        else (range(pm.rows), kept)))
-                assert got == want
-                assert hash(got) == hash(want)
-                assert repr(got) == repr(want)
-                assert got.columns == want.columns
-                assert got.scaled_centers == want.scaled_centers
-                assert got.center_scale == want.center_scale
+                _assert_same_matrix(got, want)
                 pm = got
                 compared += 1
         assert compared > 100
+
+
+class TestSubmatrix:
+    def test_is_the_checked_constructor_on_the_same_parts(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            pm = _game(rng, rng.randint(1, 7), rng.randint(1, 7))
+            # Unsorted selections with repeats, as a caller may pass them.
+            keep_rows = [rng.randrange(pm.rows) for _ in range(rng.randint(1, 2 * pm.rows))]
+            keep_cols = [rng.randrange(pm.cols) for _ in range(rng.randint(1, 2 * pm.cols))]
+            rows, cols = sorted(set(keep_rows)), sorted(set(keep_cols))
+            want = PayoffMatrix(
+                tuple(tuple(pm.entry(i, j) for j in cols) for i in rows),
+                tuple(pm.row_labels[i] for i in rows),
+                tuple(pm.col_labels[j] for j in cols),
+            )
+            _assert_same_matrix(submatrix(pm, keep_rows, keep_cols), want)
+            _assert_same_matrix(submatrix(pm, iter(keep_rows), tuple(keep_cols)), want)
+
+    @pytest.mark.parametrize("keep_rows, keep_cols, message", [
+        ((), (0,), "submatrix selection must keep at least one row and column"),
+        ((0,), [], "submatrix selection must keep at least one row and column"),
+        ((2, 0, 3, 3), (0,), "row selection [0, 2, 3] out of range for 3 rows"),
+        ((-1, 1), (0,), "row selection [-1, 1] out of range for 3 rows"),
+        ((0,), (4, 1, 1), "column selection [1, 4] out of range for 4 columns"),
+        ((0,), (-2,), "column selection [-2] out of range for 4 columns"),
+    ])
+    def test_refuses_a_selection_as_before(self, keep_rows, keep_cols, message):
+        with pytest.raises(SelectionError) as info:
+            submatrix(_game(random.Random(5), 3, 4), keep_rows, keep_cols)
+        assert str(info.value) == message
+
+
+def _document(pairs, rows=None, cols=None):
+    doc = {"entries": pairs}
+    if rows is not None:
+        doc["rows"] = rows
+    if cols is not None:
+        doc["cols"] = cols
+    return json.dumps(doc)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 1), (11, 12)])
+    def test_of_and_parse_matrix_default_the_same_labels(self, m, n):
+        pairs = [[[i - j, (i + j) / 4] for j in range(n)] for i in range(m)]
+        built, parsed = PayoffMatrix.of(pairs), parse_matrix(_document(pairs))
+        assert built.row_labels == parsed.row_labels == tuple(f"A{i + 1}" for i in range(m))
+        assert built.col_labels == parsed.col_labels == tuple(f"B{j + 1}" for j in range(n))
+        assert built == parsed
+
+    @pytest.mark.parametrize("rows, cols", [
+        (["r", "s"], ["x", "y", "z"]),
+        (["r", "s"], None),
+        (None, ["x", "y", "z"]),
+        (["B1", "B2"], ["A1", "A2", "A3"]),
+    ])
+    def test_of_and_parse_matrix_keep_given_labels(self, rows, cols):
+        pairs = [[[1, 0], [2, 0.5], [3, 1]], [[4, 0.25], [5, 0], [6, 2]]]
+        built = PayoffMatrix.of(pairs, row_labels=rows, col_labels=cols)
+        parsed = parse_matrix(_document(pairs, rows, cols))
+        assert built == parsed
+        assert built.row_labels == (tuple(rows) if rows is not None else ("A1", "A2"))
+        assert built.col_labels == (tuple(cols) if cols is not None else ("B1", "B2", "B3"))
+
+    def test_of_builds_its_own_class(self):
+        class Sub(PayoffMatrix):
+            pass
+
+        assert type(Sub.of([[(1, 0)]])) is Sub
+
+
+class TestParsedCell:
+    @pytest.mark.parametrize("cell, error, message", [
+        ("[1, -0.5]", NegativeSpreadError, "spread -0.5 is negative"),
+        ("[1, -3]", NegativeSpreadError, "spread -3 is negative"),
+        ("[-Infinity, -1]", NegativeSpreadError, "spread -1 is negative"),
+        ("[NaN, -2]", NegativeSpreadError, "spread -2 is negative"),
+        ("[1, -" + "9" * 400 + "]", NegativeSpreadError, "spread -" + "9" * 400 + " is negative"),
+        ("[NaN, 0.1]", NonFiniteNumberError, "got <nan, 0.1>"),
+        ("[1, NaN]", NonFiniteNumberError, "got <1, nan>"),
+        ("[Infinity, 0]", NonFiniteNumberError, "got <inf, 0>"),
+        ("[-Infinity, 0]", NonFiniteNumberError, "got <-inf, 0>"),
+        ("[2, Infinity]", NonFiniteNumberError, "got <2, inf>"),
+        ("[" + "7" * 400 + ", 0]", NonFiniteNumberError, "got <" + "7" * 400 + ", 0>"),
+        ("[0, " + "7" * 400 + "]", NonFiniteNumberError, "got <0, " + "7" * 400 + ">"),
+        ("[1e999, 0]", NonFiniteNumberError, "got <inf, 0>"),
+    ])
+    def test_refuses_a_bad_number_as_before(self, cell, error, message):
+        if error is NonFiniteNumberError:
+            limit = TestFuzzyNum.LIMIT
+            message = f"center and spread must be finite with magnitude at most {limit}, {message}"
+        with pytest.raises(error) as info:
+            parse_matrix('{"entries": [[[1, 0], [2, 0]], [[3, 0], ' + cell + ']]}')
+        assert type(info.value) is error
+        assert str(info.value) == f"entries[2][2]: {message}"
+
+    def test_accepts_a_negative_zero_spread(self):
+        pm = parse_matrix('{"entries": [[[1, -0.0]]]}')
+        assert pm.entry(0, 0) == FuzzyNum(1, 0)
+        assert math.copysign(1, pm.entry(0, 0).spread) == -1
 
 
 def _solution(x, y, trace=()):
@@ -158,12 +270,13 @@ class TestSolution:
             _solution((0, 0), (2, 2))
 
     def test_float_vector_sums_as_floats(self):
-        # A float vector's verdict is its float sum's, in its own order, not the exact sum's.
+        # A float vector's verdict is its float sum's, added left to right, not the exact sum's.
+        # sum() would not do for the reference: from Python 3.12 it adds floats compensated.
         for x in ((0.1, 0.9), (0.1, 0.2, 0.7)):
-            assert sum(x) == 1 and sum(map(F, x)) != 1
+            assert functools.reduce(operator.add, x) == 1 and sum(map(F, x)) != 1
             assert _solution(x, (1,)).x == x
         y = (0.7, 0.2, 0.1)
-        assert sum(y) != 1
+        assert functools.reduce(operator.add, y) != 1
         with pytest.raises(ValueError, match="^y does not sum to 1"):
             _solution((1,), y)
 
