@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank
 from .matrix import Axis, MatrixError, PayoffMatrix, matrix_doc, parse_matrix, serialize_matrix
 from .oracle import CenterGame, OracleReport, check_size, oracle_check, oracle_value
 from .solver import (
+    DEFAULT_BETAS,
     NotReducibleError,
     PipelineConfig,
     ReductionStep,
@@ -68,9 +69,11 @@ def _parse_fuzzy_arg(text: str) -> FuzzyNum:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    steps = args.beta_steps
     return PipelineConfig(
         threshold=args.threshold,
-        betas=beta_grid(args.beta_steps),
+        # The default grid was built and checked at import; only another size is built per call.
+        betas=DEFAULT_BETAS if steps == len(DEFAULT_BETAS) else beta_grid(steps),
         attitude=Attitude(args.attitude),
         convention=SpreadConvention(args.spread_convention),
     )
@@ -127,11 +130,49 @@ def _solution_doc(solution: Solution) -> dict:
     }
 
 
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2, allow_nan=False)``
+    writes it; ``newline`` is a line break followed by the current indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is float:
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif kind is dict:
+        sep, inner = "{", newline + "  "
+        for key, item in value.items():
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "}") if value else ("{}",)
+    elif kind is list or kind is tuple:
+        sep, inner = "[", newline + "  "
+        for item in value:
+            out += (sep, inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "]") if value else ("[]",)
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _print_document(doc: dict, steps, pm: PayoffMatrix, config: PipelineConfig) -> None:
-    # The only machine-mode writer: trace and config close every document.
+    # The only machine-mode writer: trace and config close every document.  It
+    # writes what json.dumps(doc, indent=2, allow_nan=False) would, but json.dumps
+    # with an indent encodes in pure Python, at twice the cost of _write_json.
     doc["trace"] = [_step_doc(s, pm) for s in steps]
     doc["config"] = _config_doc(config)
-    print(json.dumps(doc, indent=2, allow_nan=False))
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    print("".join(out))
 
 
 def _render_trace(steps, pm: PayoffMatrix) -> None:

@@ -19,11 +19,13 @@ from fuzzygame import (
     PayoffMatrix,
     PipelineConfig,
     SpreadConvention,
+    beta_grid,
     parse_matrix,
     serialize_matrix,
     solve_pipeline,
 )
-from fuzzygame.cli import build_parser, main
+from fuzzygame.cli import _config_from_args, build_parser, main
+from fuzzygame.solver import DEFAULT_BETAS
 
 
 @pytest.fixture
@@ -579,6 +581,28 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout == "0\n", proc.stderr
+
+
+class TestDefaultGrid:
+    """The default step count reuses the grid built at import; any other count builds one."""
+
+    def test_default_step_count_reuses_the_default_grid(self):
+        args = build_parser().parse_args(["solve", "game.json"])
+        assert _config_from_args(args).betas is DEFAULT_BETAS
+
+    @pytest.mark.parametrize("sample", ["convex", "simulation"])
+    def test_explicit_default_prints_the_same_bytes(self, capsys, sample):
+        argv = ["solve", str(SAMPLE_DIR / f"{sample}.json"), "--format", "machine", "--trace"]
+        implicit = run_main(argv, capsys)
+        assert run_main([*argv, "--beta-steps", "21"], capsys) == implicit
+        assert implicit[0] == 0 and '"beta_steps": 21' in implicit[1]
+
+    @pytest.mark.parametrize("steps", [5, MAX_BETA_STEPS])
+    def test_other_step_counts_build_a_checked_grid(self, steps):
+        args = build_parser().parse_args(["solve", "game.json", "--beta-steps", str(steps)])
+        betas = _config_from_args(args).betas
+        want = beta_grid(steps)
+        assert type(betas) is type(want) and betas == want and betas.exact == want.exact
 
 
 SAMPLE_DIR = pathlib.Path(__file__).resolve().parent.parent / "sample_games"
