@@ -31,7 +31,9 @@ from .matrix import PayoffMatrix
 if TYPE_CHECKING:  # annotation only: the oracle never runs solver code
     from .solver import Solution
 
-SIZE_CAP = 32  # 32x32: 0.1 s on integer centers, about 1 s on tenths, 1-2 s mixed (2-core Xeon, Python 3.11)
+# 32x32, on a 2-core Xeon with Python 3.11: 0.1 s on integer centers or exact tenths
+# (Fraction(k, 10)); about 1 s on binary-float tenths, which is what JSON gives; 1-2 s mixed.
+SIZE_CAP = 32
 
 
 class GameTooLargeError(ValueError):

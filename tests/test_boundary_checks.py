@@ -389,8 +389,18 @@ class TestFuzzyNum:
         assert [field.name for field in dataclasses.fields(f)] == ["center", "spread"]
         assert dataclasses.asdict(f) == {"center": F(1, 3), "spread": 0.25}
         assert dataclasses.replace(f, spread=0) == FuzzyNum(F(1, 3), 0)
-        with pytest.raises(ValueError, match="^spread must be nonnegative"):
-            dataclasses.replace(f, spread=-0.5)
+        for spread in (-0.5, -1):
+            with pytest.raises(ValueError) as info:
+                dataclasses.replace(f, spread=spread)
+            assert str(info.value) == f"spread must be nonnegative, got {spread}"
+
+    def test_fields_live_in_slots(self):
+        assert FuzzyNum.__slots__ == ("center", "spread")
+        parsed = parse_matrix('{"entries": [[[1, 0.5]]]}').entry(0, 0)
+        for f in (FuzzyNum(1, 0.5), parsed):
+            assert type(f) is FuzzyNum and not hasattr(f, "__dict__")
+            with pytest.raises(TypeError):
+                vars(f)
 
     def test_frozen(self):
         f = FuzzyNum(1, 0.5)
