@@ -129,30 +129,41 @@ class PayoffMatrix:
 
     @cached_property
     def columns(self) -> tuple[tuple[FuzzyNum, ...], ...]:
-        """The entries column by column (the transpose), computed on first use and kept."""
+        """The entries column by column (the transpose), computed on first use and kept.
+
+        A column cut by :meth:`without` is given its columns when it is built.
+        """
         return tuple(zip(*self.entries))
 
     def without(self, axis: Axis, pos: int) -> "PayoffMatrix":
         """This matrix with line ``pos`` of ``axis`` left out, labels included.
 
         The same matrix as :func:`submatrix` on every other index, built by
-        slicing one line out of this matrix's entries and labels.  Like every
-        cut, it is not checked again (see :func:`_cut`): only the position
-        and the last line of an axis need a check.
+        slicing one line out of this matrix's entries and labels.  A column
+        cut slices this matrix's :attr:`columns` instead, rebuilds its rows
+        from them and keeps them as its own, so the parent's column tuples
+        are shared and never transposed again.  ``axis`` must be an
+        :class:`Axis`.  Like every cut, it is not checked again (see
+        :func:`_cut`): only the axis, the position and the last line of an
+        axis need a check.
         """
-        size = self.rows if axis is Axis.ROW else self.cols
+        if axis is Axis.ROW:
+            lines = self.entries
+        elif axis is Axis.COL:
+            lines = self.columns
+        else:
+            raise SelectionError(f"axis must be Axis.ROW or Axis.COL, got {axis!r}")
+        size = len(lines)
         if not 0 <= pos < size:
             raise SelectionError(f"{axis.value} {pos} out of range for size {size}")
         if size == 1:
             raise EmptyMatrixError("matrix must have at least one row and one column")
-        entries, row_labels, col_labels = self.entries, self.row_labels, self.col_labels
+        lines = lines[:pos] + lines[pos + 1:]
         if axis is Axis.ROW:
-            entries = entries[:pos] + entries[pos + 1:]
-            row_labels = row_labels[:pos] + row_labels[pos + 1:]
-        else:
-            entries = tuple([row[:pos] + row[pos + 1:] for row in entries])
-            col_labels = col_labels[:pos] + col_labels[pos + 1:]
-        return _cut(entries, row_labels, col_labels)
+            return _cut(lines, self.row_labels[:pos] + self.row_labels[pos + 1:], self.col_labels)
+        cut = _cut(tuple(zip(*lines)), self.row_labels, self.col_labels[:pos] + self.col_labels[pos + 1:])
+        cut.__dict__["columns"] = lines
+        return cut
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(e.center for e in row) for row in self.entries)

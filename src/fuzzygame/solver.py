@@ -211,7 +211,7 @@ class PipelineConfig:
 
 def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
     # Per entry, the dominance index of the lower line over the upper one.
-    return tuple(dominance_index(a.center, a.spread, b.center, b.spread) for a, b in zip(lo, hi))
+    return tuple([dominance_index(a.center, a.spread, b.center, b.spread) for a, b in zip(lo, hi)])
 
 
 def find_saddle(
@@ -581,6 +581,9 @@ _SCANS = (
     (StepKind.CONVEX_ROW_DOMINANCE, Axis.ROW, True, "convex_row_dominates"),
     (StepKind.CONVEX_COL_DOMINANCE, Axis.COL, True, "convex_col_dominates"),
 )
+# The numbers of the scans on each axis: the starts that a deletion moves down or resets.
+_ROW_SCANS = tuple(scan for scan, (_, axis, _, _) in enumerate(_SCANS) if axis is Axis.ROW)
+_COL_SCANS = tuple(scan for scan, (_, axis, _, _) in enumerate(_SCANS) if axis is Axis.COL)
 
 
 def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> ReductionResult:
@@ -601,20 +604,24 @@ def reduce_dominance(pm: PayoffMatrix, config: PipelineConfig | None = None) -> 
     the deletion a full rescan would, and the trace is the same.
     """
     config = config or PipelineConfig()
-    kept = {Axis.ROW: list(range(pm.rows)), Axis.COL: list(range(pm.cols))}  # original indices
+    row_ids, col_ids = list(range(pm.rows)), list(range(pm.cols))  # original indices
     starts = [0] * len(_SCANS)
     work = pm
     steps: list[ReductionStep] = []
     while (hit := _first_deletion(work, config, starts)) is not None:
         kind, axis, pos, dominator, evidence = hit
-        deleted = StrategyIndex(axis, kept[axis].pop(pos))
-        steps.append(ReductionStep(kind, deleted, dominator, evidence))
+        if axis is Axis.ROW:
+            ids, same, other = row_ids, _ROW_SCANS, _COL_SCANS
+        else:
+            ids, same, other = col_ids, _COL_SCANS, _ROW_SCANS
+        steps.append(ReductionStep(kind, StrategyIndex(axis, ids.pop(pos)), dominator, evidence))
         work = work.without(axis, pos)
-        starts = [
-            start - (pos < start) if scan_axis is axis else 0
-            for (_, scan_axis, _, _), start in zip(_SCANS, starts)
-        ]
-    return ReductionResult(work, tuple(steps), tuple(kept[Axis.ROW]), tuple(kept[Axis.COL]))
+        for scan in same:
+            if starts[scan] > pos:
+                starts[scan] -= 1
+        for scan in other:
+            starts[scan] = 0
+    return ReductionResult(work, tuple(steps), tuple(row_ids), tuple(col_ids))
 
 
 def _first_deletion(

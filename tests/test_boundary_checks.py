@@ -86,6 +86,35 @@ class TestWithout:
             PayoffMatrix.of([[(1, 0), (2, 0)]]).without(Axis.ROW, 1)
         assert str(info.value) == "row 1 out of range for size 1"
 
+    @pytest.mark.parametrize("axis", ["row", "col", None, 0, 1, True])
+    def test_refuses_an_axis_that_is_not_an_axis(self, axis):
+        with pytest.raises(SelectionError) as info:
+            _game(random.Random(3), 3, 4).without(axis, 0)
+        assert str(info.value) == f"axis must be Axis.ROW or Axis.COL, got {axis!r}"
+
+    @pytest.mark.parametrize("columns_read", [True, False])
+    def test_a_column_cut_keeps_the_parents_columns(self, columns_read):
+        pm = _game(random.Random(11), 4, 5)
+        if columns_read:
+            pm.columns
+        for pos in range(pm.cols):
+            cut = pm.without(Axis.COL, pos)
+            assert "columns" in vars(cut)
+            assert cut.columns == tuple(zip(*cut.entries))
+            parents = pm.columns[:pos] + pm.columns[pos + 1:]
+            assert all(mine is theirs for mine, theirs in zip(cut.columns, parents, strict=True))
+            _assert_same_matrix(cut, submatrix(pm, range(pm.rows), [j for j in range(pm.cols) if j != pos]))
+
+    @pytest.mark.parametrize("columns_read", [True, False])
+    def test_a_row_cut_leaves_its_columns_until_read(self, columns_read):
+        pm = _game(random.Random(12), 4, 5)
+        if columns_read:
+            pm.columns
+        for pos in range(pm.rows):
+            cut = pm.without(Axis.ROW, pos)
+            assert "columns" not in vars(cut)
+            _assert_same_matrix(cut, submatrix(pm, [i for i in range(pm.rows) if i != pos], range(pm.cols)))
+
     def test_is_submatrix_of_the_other_indices(self):
         rng = random.Random(2024)
         compared = 0
