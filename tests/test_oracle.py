@@ -205,6 +205,55 @@ class TestOracleCheck:
         assert not exact.passed and (exact.x_floor, exact.y_ceiling) == (0, 1)
 
 
+    def test_strategies_of_the_wrong_length_are_refused(self):
+        # A 2x2 solution against a 3x3 game: zipping would drop the third row and
+        # column and report y_guarantee=True for a y that has no third entry.
+        small = PayoffMatrix.of([[(1, 0.1), (7, 0.1)], [(6, 0.1), (2, 0.1)]])
+        sol = solve_pipeline(small)
+        big = PayoffMatrix.of([[(c, 0.1) for c in row] for row in ((1, 7, 0), (6, 2, 0), (9, 9, 9))])
+        with pytest.raises(ValueError, match="have 2 and 2 entries; the matrix is 3x3"):
+            oracle_check(big, sol)
+        wide = PayoffMatrix.of([[(1, 0.1), (7, 0.1), (0, 0.1)], [(6, 0.1), (2, 0.1), (0, 0.1)]])
+        with pytest.raises(ValueError, match="have 2 and 2 entries; the matrix is 2x3"):
+            oracle_check(wide, sol)
+        tall = PayoffMatrix.of([[(1, 0.1), (7, 0.1)], [(6, 0.1), (2, 0.1)], [(0, 0.1), (0, 0.1)]])
+        with pytest.raises(ValueError, match="have 2 and 2 entries; the matrix is 3x2"):
+            oracle_check(tall, sol)
+
+    def test_oracle_center_is_oracle_value(self):
+        # oracle_check reads the centers onto the integer grid itself; its value
+        # must be the one oracle_value finds on the CenterGame of the same matrix.
+        rng = random.Random(2525)
+        centers = (
+            lambda: rng.randint(-20, 20),
+            lambda: rng.randint(-200, 200) / 10,
+            lambda: F(rng.randint(-60, 60), rng.choice((1, 3, 4, 7))),
+        )
+        for k in range(150):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            center = centers[k % 3]
+            pm = PayoffMatrix.of([[(center(), 0.5) for _ in range(n)] for _ in range(m)])
+            oracle = oracle_value(CenterGame.from_payoff(pm))
+            sol = Solution(oracle.x, oracle.y, FuzzyNum(oracle.value, 0.5), SolutionKind.MIXED_2X2, ())
+            report = oracle_check(pm, sol)
+            assert report.oracle_center == oracle.value
+            assert report.passed
+
+    @pytest.mark.parametrize("m, n", [(33, 2), (2, 33)])
+    def test_size_cap_comes_before_any_cell(self, monkeypatch, m, n):
+        pm = PayoffMatrix.of([[(0, 0.1)] * n] * m)
+        sol = Solution((F(1),) + (F(0),) * (m - 1), (F(1),) + (F(0),) * (n - 1),
+                       FuzzyNum(0, 0.1), SolutionKind.PURE_SADDLE, ())
+
+        def unread(self):
+            raise AssertionError("a cell was read before the size check")
+
+        monkeypatch.setattr(PayoffMatrix, "centers", unread)
+        monkeypatch.setattr(PayoffMatrix, "entry", unread)
+        with pytest.raises(GameTooLargeError, match=f"{m}x{n} exceeds the 32x32 oracle cap"):
+            oracle_check(pm, sol)
+
+
 class TestSolverAgainstOracleBeyondEight:
     def test_planted_games_9_to_16(self, planted_game):
         for m in range(9, 17):

@@ -199,6 +199,36 @@ def test_degenerate_games():
         assert_matches_reference(rows)
 
 
+def test_degenerate_games_6x6_to_12x12_match_fraction_simplex():
+    # Ties and zero ratios everywhere.  The integer tableau keeps only the nonbasic
+    # columns, so after the first pivot a column's position no longer tells which
+    # variable it holds; Bland's rule must still enter by variable index, or the
+    # pivots (and so the strategies) part from the Fraction simplex's.
+    rng = random.Random(612)
+    for k in range(120):
+        m, n = rng.randint(6, 12), rng.randint(6, 12)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        for kind in (k % 4, rng.randrange(4)):
+            if kind == 0:  # duplicate rows
+                for _ in range(rng.randint(1, 3)):
+                    rows[rng.randrange(m)] = list(rng.choice(rows))
+            elif kind == 1:  # duplicate columns
+                for _ in range(rng.randint(1, 3)):
+                    src, dst = rng.randrange(n), rng.randrange(n)
+                    for row in rows:
+                        row[dst] = row[src]
+            elif kind == 2:  # zero rows
+                for i in rng.sample(range(m), rng.randint(1, 3)):
+                    rows[i] = [0] * n
+            else:  # a constant block
+                c = rng.randint(-3, 3)
+                top, left = rng.randrange(m - 2), rng.randrange(n - 2)
+                height, width = rng.randint(2, m - top), rng.randint(2, n - left)
+                for i in range(top, top + height):
+                    rows[i][left:left + width] = [c] * width
+        assert_same_pivots(rows)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.integers(1, 4).flatmap(
