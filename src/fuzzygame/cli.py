@@ -23,9 +23,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
-from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank
+from .fuzzy import Attitude, Choice, FuzzyNum, prefer_max, prefer_min, rank, ratio
 from .matrix import Axis, MatrixError, PayoffMatrix, matrix_doc, parse_matrix, serialize_matrix
-from .oracle import CenterGame, OracleReport, check_size, oracle_check, oracle_value
+from .oracle import OracleReport, center_value, check_size, oracle_check
 from .solver import (
     DEFAULT_BETAS,
     NotReducibleError,
@@ -49,7 +49,7 @@ MAX_FRACTION_DENOMINATOR = 10**6
 def _number(value) -> str:
     """Table-mode rendering, each number once: n, n/d (decimal), or, when the
     denominator exceeds MAX_FRACTION_DENOMINATOR, the decimal alone."""
-    num, den = value.as_integer_ratio()
+    num, den = ratio(value)
     if den == 1:
         return str(num)
     if den <= MAX_FRACTION_DENOMINATOR:
@@ -124,8 +124,8 @@ def _solution_doc(solution: Solution) -> dict:
         "value": {
             "center": float(solution.value.center),
             "spread": float(solution.value.spread),
-            "center_exact": str(Fraction(solution.value.center)),
-            "spread_exact": str(Fraction(solution.value.spread)),
+            "center_exact": str(Fraction(*ratio(solution.value.center))),
+            "spread_exact": str(Fraction(*ratio(solution.value.spread))),
         },
     }
 
@@ -308,9 +308,9 @@ def cmd_check(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError:
-        oracle = oracle_value(CenterGame.from_payoff(pm))
+        value, _, _ = center_value(pm)
         print("pipeline: not reducible by the dominance method (no check performed)")
-        print(f"oracle value center: {_exact_str(oracle.value)}")
+        print(f"oracle value center: {_exact_str(value)}")
         return EXIT_OK
     report = oracle_check(pm, solution)
     _render_report(report)

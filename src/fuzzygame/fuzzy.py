@@ -94,6 +94,14 @@ class Interval:
         return half if half - half == 0 else self.hi / 2 - self.lo / 2
 
 
+def ratio(value: float) -> tuple[int, int]:
+    """``(num, den)``, ``den > 0`` in lowest terms: the exact value of an int, float or ``Fraction``.
+
+    A float reads as the binary value it holds (0.3 as 5404319552844595/2**54); inf and NaN raise.
+    """
+    return value.as_integer_ratio()
+
+
 def _in_float_range(value: float) -> float:
     # An exact value past the float range as the infinity of its sign; any other value as it is.
     if value > MAX_MAGNITUDE:

@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .fuzzy import FuzzyNum
+from .fuzzy import FuzzyNum, ratio
 
 
 class MatrixError(ValueError):
@@ -171,20 +171,20 @@ class PayoffMatrix:
     @cached_property
     def center_scale(self) -> int:
         """The lcm of the center denominators: the least positive int making every center whole."""
-        return math.lcm(*(e.center.as_integer_ratio()[1] for row in self.entries for e in row))
+        self.scaled_centers  # finds and keeps the scale too
+        return self.__dict__["center_scale"]
 
     @cached_property
     def scaled_centers(self) -> tuple[tuple[int, ...], ...]:
         """Each center times :attr:`center_scale`, as an exact int, computed on first use and kept.
 
-        The scale is positive, so every sign, order and ratio of differences
-        of the centers is the same on this grid.
+        One pass reads each center's :func:`~fuzzygame.fuzzy.ratio` once, for
+        both.  The scale is positive, so every sign, order and ratio of
+        differences of the centers is the same on this grid.
         """
-        scale = self.center_scale
-        return tuple(
-            tuple(num * (scale // den) for num, den in (e.center.as_integer_ratio() for e in row))
-            for row in self.entries
-        )
+        ratios = [[ratio(e.center) for e in row] for row in self.entries]
+        scale = self.__dict__["center_scale"] = math.lcm(*[den for row in ratios for _, den in row])
+        return tuple([tuple([num * (scale // den) for num, den in row]) for row in ratios])
 
 
 def _cut(entries: tuple, row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> PayoffMatrix:

@@ -18,9 +18,9 @@ columns of a scaled identity.  A pivot swaps the entering variable's column
 for the leaving variable's, whose new entries follow from the pivot row and
 the leaving row's own diagonal entry.  Every answer is certified on the same
 grid against every pure counter-strategy before it is returned.
-:func:`oracle_check` reads a payoff matrix's centers onto that grid itself
-and solves for the value alone.  Games larger than ``SIZE_CAP`` in either
-dimension are refused.
+:func:`center_value` reads a payoff matrix's centers onto that grid itself
+and solves for the value alone, for :func:`oracle_check` and for ``check``.
+Games larger than ``SIZE_CAP`` in either dimension are refused.
 """
 
 from __future__ import annotations
@@ -244,6 +244,17 @@ def _floor_ceiling(
     return min(payoffs), max(sum(map(operator.mul, row, y)) for row in ints)
 
 
+def center_value(pm: PayoffMatrix) -> tuple[Fraction, tuple[tuple[int, ...], ...], int]:
+    """``(value, ints, scale)``: the exact value of ``pm``'s center game, solved for alone.
+
+    ``ints`` is the centers times ``scale``; no :class:`CenterGame` or strategy is built.
+    """
+    check_size(pm.rows, pm.cols)
+    ints, scale = _on_grid(pm.centers())
+    d, total, shift, _, _ = _simplex(ints, scale)
+    return Fraction(d, total) - shift, ints, scale
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Per-check outcome of validating a solution against the oracle."""
@@ -271,18 +282,15 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
     strategy whose length is not the matrix's row or column count is refused
     with ``ValueError``.
 
-    The centers are read straight onto the oracle's own integer grid and
-    only the value is solved for; no :class:`CenterGame` is built.
+    The value is :func:`center_value`'s, and the guarantees are read on its grid.
     """
-    check_size(pm.rows, pm.cols)
+    check_size(pm.rows, pm.cols)  # the size refusal comes first, the length refusal before the LP
     if len(solution.x) != pm.rows or len(solution.y) != pm.cols:
         raise ValueError(
             f"solution strategies have {len(solution.x)} and {len(solution.y)} entries;"
             f" the matrix is {pm.rows}x{pm.cols}"
         )
-    ints, scale = _on_grid(pm.centers())
-    d, total, shift, _, _ = _simplex(ints, scale)
-    oracle_center = Fraction(d, total) - shift
+    oracle_center, ints, scale = center_value(pm)
     (x,), x_scale = _on_grid((solution.x,))
     (y,), y_scale = _on_grid((solution.y,))
     floor, ceiling = _floor_ceiling(ints, x, y)

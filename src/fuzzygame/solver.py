@@ -20,8 +20,9 @@ scale keeps every comparison the convex test and the guarantee make.
 
 Mixed strategies, value centers and spreads, the expected payoff and the
 convex blends are exact rationals (``fractions.Fraction``), so results like
-15/16 are exact.  They are computed on integer grids (the cells times the
-lcm of their denominators, or a numerator over one common denominator), and
+15/16 are exact.  Each number is read through :func:`fuzzygame.fuzzy.ratio`,
+a float as its binary value, onto integer grids (the cells times the lcm
+of their denominators, or a numerator over one common denominator), and
 each returned ``Fraction`` is built once, from its integer numerator and
 denominator.
 """
@@ -37,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fuzzy import Attitude, Choice, FuzzyNum, dominance_index, prefer_max, prefer_min
+from .fuzzy import Attitude, Choice, FuzzyNum, dominance_index, prefer_max, prefer_min, ratio
 # Unused here (_evidence calls dominance_index on the entries' own numbers),
 # but perfbench/spans.py traces the dominance index at solver.di_fuzzy.
 from .fuzzy import di_fuzzy  # noqa: F401
@@ -100,7 +101,7 @@ class Solution:
     """Mixed strategies over the ORIGINAL indices, fuzzy value, and trace.
 
     Each strategy vector must lie in [0, 1] entrywise and sum to 1, and no
-    deleted strategy may carry probability.  A vector whose nonzero entries
+    deleted strategy may lie outside its vector or carry probability.  A vector whose nonzero entries
     are all ints and ``Fraction``\\ s (the solver's own) is checked on their
     integer ratios: ``0 <= num <= den`` per entry, and one numerator over a
     common denominator for the sum.  Any other vector, floats or bools
@@ -123,7 +124,7 @@ class Solution:
             if all(type(p) is Fraction or type(p) is int for p in support):
                 num, den = 0, 1
                 for p in support:
-                    n, d = p.numerator, p.denominator
+                    n, d = ratio(p)
                     if not 0 <= n <= d:
                         raise ValueError(f"{name} is not a probability vector: {vec}")
                     num, den = num * d + n * den, den * d
@@ -139,10 +140,11 @@ class Solution:
             deleted = step.deleted
             if deleted is None:
                 continue
-            if (self.x if deleted.axis is Axis.ROW else self.y)[deleted.index]:
-                raise ValueError(
-                    f"deleted strategy {step.deleted} carries nonzero probability"
-                )
+            name, vec = ("x", self.x) if deleted.axis is Axis.ROW else ("y", self.y)
+            if not 0 <= deleted.index < len(vec):
+                raise ValueError(f"trace step {step} deletes outside the {len(vec)} entries of {name}")
+            if vec[deleted.index]:
+                raise ValueError(f"deleted strategy {deleted} carries nonzero probability")
 
 
 # Largest grid beta_grid builds; an unbounded one is a memory hazard.
@@ -163,7 +165,7 @@ class _Grid(tuple):
         for beta in grid:
             if not 0 <= beta <= 1:
                 raise ValueError(f"convex coefficients must lie in [0, 1], got {beta}")
-        grid.exact = tuple(b.as_integer_ratio() for b in grid)
+        grid.exact = tuple(map(ratio, grid))
         return grid
 
 
@@ -313,12 +315,12 @@ def _blends(
     # Exact rational blend keeps the dominance comparisons deterministic.
     # With beta = bn/bd, u = un/ud and v = vn/vd, beta*u + (1 - beta)*v is
     # one integer numerator over bd*ud*vd, normalised once.
-    bn, bd = beta.as_integer_ratio()
+    bn, bd = ratio(beta)
     rest = bd - bn
 
     def blend(u, v) -> Fraction:
-        un, ud = u.as_integer_ratio()
-        vn, vd = v.as_integer_ratio()
+        un, ud = ratio(u)
+        vn, vd = ratio(v)
         return Fraction(bn * un * vd + rest * vn * ud, bd * ud * vd)
 
     return tuple(
@@ -500,7 +502,7 @@ def _endpoint_grid(pm: PayoffMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     the spreads' ratios are read; the scale is the lcm of
     :attr:`PayoffMatrix.center_scale` and the spread denominators.
     """
-    spreads = [[e.spread.as_integer_ratio() for e in row] for row in pm.entries]
+    spreads = [[ratio(e.spread) for e in row] for row in pm.entries]
     scale = math.lcm(pm.center_scale, *(den for row in spreads for _, den in row))
     lift = scale // pm.center_scale
     return tuple(
@@ -739,7 +741,7 @@ def _repaired_subgame_solution(
     row player's on the negated transpose, its columns a negated copy of the rows, against -value.
     """
     solution = chosen.solution
-    value = Fraction(solution.value.center) * work.center_scale
+    value = Fraction(*ratio(solution.value.center)) * work.center_scale  # a float cell if a saddle
     scaled = work.scaled_centers
     if enum.axis is Axis.COL:
         other, against = "x", list(zip(*scaled))
@@ -766,14 +768,14 @@ def _expected(
     # strategy played with probability 0 adds an exact 0, so summing over
     # the supports (at most 2x2 after dominance) gives the full sum.  Each
     # term p*q*v is added as integers to one numerator over one denominator.
-    rows = [(i, *p.as_integer_ratio()) for i, p in enumerate(x) if p]
-    cols = [(j, *q.as_integer_ratio()) for j, q in enumerate(y) if q]
+    rows = [(i, *ratio(p)) for i, p in enumerate(x) if p]
+    cols = [(j, *ratio(q)) for j, q in enumerate(y) if q]
     entries = pm.entries
     num, den = 0, 1
     for i, pn, pd in rows:
         line = entries[i]
         for j, qn, qd in cols:
-            vn, vd = getattr(line[j], part).as_integer_ratio()
+            vn, vd = ratio(getattr(line[j], part))
             td = pd * qd * vd
             num, den = num * td + pn * qn * vn * den, den * td
     return Fraction(num, den)

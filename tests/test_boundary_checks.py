@@ -326,6 +326,21 @@ class TestSolution:
         )
 
     @pytest.mark.parametrize("x, y, axis, index", [
+        ((1, 0), (1,), Axis.ROW, -1),  # x[-1] is 0, so a negative index once passed
+        ((F(1),), (0, F(1)), Axis.COL, -2),
+        ((F(1, 2), F(1, 2)), (1,), Axis.ROW, 2),  # once a bare IndexError
+        ((1,), (0.0, 1.0), Axis.COL, 5),
+    ])
+    def test_refuses_a_deleted_strategy_outside_the_vector(self, x, y, axis, index):
+        trace = _deleted(axis, index)
+        name, vec = ("x", x) if axis is Axis.ROW else ("y", y)
+        with pytest.raises(ValueError) as info:
+            _solution(x, y, trace)
+        assert str(info.value) == (
+            f"trace step {trace[0]} deletes outside the {len(vec)} entries of {name}"
+        )
+
+    @pytest.mark.parametrize("x, y, axis, index", [
         ((0, F(1)), (F(1, 2), F(1, 2)), Axis.ROW, 0),
         ((F(1, 2), F(1, 2)), (F(1), 0), Axis.COL, 1),
         ((0.0, 1.0), (1,), Axis.ROW, 0),

@@ -384,6 +384,38 @@ class TestCheck:
         assert "not reducible" in out
         assert "oracle value center: 0" in out
 
+    def test_not_reducible_prints_the_oracle_value_alone(self, write_game, monkeypatch, capsys):
+        # The value comes from the oracle's integer grid: no CenterGame is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("check built a CenterGame for a game it cannot reduce")
+
+        class NoCenterGame:
+            __init__ = refuse
+            from_payoff = of = staticmethod(refuse)
+
+        rng = random.Random(26)
+        draws = (lambda: rng.randint(-9, 9), lambda: rng.randint(-90, 90) / 10)
+        checked = [0, 0]
+        for k in range(80):
+            m, n = rng.choice([(3, 3), (3, 4), (4, 4)])
+            pm = PayoffMatrix.of([[(draws[k % 2](), 0.1) for _ in range(n)] for _ in range(m)])
+            try:
+                solve_pipeline(pm)
+                continue
+            except NotReducibleError:
+                value = fuzzygame.oracle_value(fuzzygame.CenterGame.from_payoff(pm)).value
+            with monkeypatch.context() as patch:
+                for module in (fuzzygame.oracle, fuzzygame.cli):
+                    patch.setattr(module, "CenterGame", NoCenterGame, raising=False)
+                code, out, err = run_main(["check", write_game(pm)], capsys)
+            assert (code, err) == (0, "")
+            assert out == (
+                "pipeline: not reducible by the dominance method (no check performed)\n"
+                f"oracle value center: {value} = {float(value)}\n"
+            )
+            checked[k % 2] += 1
+        assert min(checked) >= 5
+
     def test_planted_12x12_passes(self, write_game, planted_game, capsys):
         code = main(["check", write_game(planted_game(12, 12, 12))])
         assert code == 0

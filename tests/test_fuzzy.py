@@ -1,7 +1,10 @@
 """Fuzzy-number primitives: worked values plus algebraic properties."""
 
+import ast
 import itertools
 import math
+import pathlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +28,8 @@ from fuzzygame import (
     rank,
     trapezoid_eval,
 )
-from fuzzygame.fuzzy import MAX_MAGNITUDE, dominance_index
+import fuzzygame
+from fuzzygame.fuzzy import MAX_MAGNITUDE, dominance_index, ratio
 
 
 def lr(center, spread):
@@ -447,3 +451,84 @@ class TestIntervalProperties:
         assert a.support().hi == a.center + a.spread
         triple = a.as_lr_triple()
         assert (triple.left, triple.peak, triple.right) == (a.spread, a.center, a.spread)
+
+
+class TestRatio:
+    """``ratio`` is the exact reader of the solver and the CLI: each value's own integer ratio."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (0, (0, 1)),
+        (7, (7, 1)),
+        (-3, (-3, 1)),
+        (10**30, (10**30, 1)),
+        (F(3, 4), (3, 4)),
+        (F(-6, 8), (-3, 4)),
+        (-0.0, (0, 1)),
+        (0.5, (1, 2)),
+        (0.3, (5404319552844595, 2**54)),  # the binary value, not 3/10
+        (5e-324, (1, 2**1074)),
+        (sys.float_info.max, (MAX_MAGNITUDE, 1)),
+        (-sys.float_info.max, (-MAX_MAGNITUDE, 1)),
+        (MAX_MAGNITUDE, (MAX_MAGNITUDE, 1)),
+        (F(MAX_MAGNITUDE, 3), (MAX_MAGNITUDE, 3)),
+    ])
+    def test_worked_values(self, value, expected):
+        num, den = ratio(value)
+        assert (num, den) == expected and type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == value
+
+    @pytest.mark.parametrize("value, error", [
+        (math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError),
+    ])
+    def test_refuses_what_as_integer_ratio_refuses(self, value, error):
+        with pytest.raises(error):
+            value.as_integer_ratio()
+        with pytest.raises(error):
+            ratio(value)
+
+    @DERANDOMIZED
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_float_reads_as_its_binary_value(self, value):
+        num, den = ratio(value)
+        assert F(num, den) == F(value) and den & (den - 1) == 0 and math.gcd(num, den) == 1
+
+
+# Where the solver and the CLI read a number exactly: a ratio attribute, or
+# Fraction(x) of one non-constant argument.  Fraction(*ratio(x)) passes two.
+_EXACT_ATTRIBUTES = {"as_integer_ratio", "numerator", "denominator"}
+
+
+def _exact_reads(source, name):
+    reads = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Attribute) and node.attr in _EXACT_ATTRIBUTES:
+            reads.append((node.lineno, f"{name}:{node.lineno}: .{node.attr}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and len(node.args) == 1
+            and not node.keywords
+            and not isinstance(node.args[0], (ast.Constant, ast.Starred))
+        ):
+            reads.append((node.lineno, f"{name}:{node.lineno}: Fraction(x)"))
+    return [read for _, read in sorted(reads)]
+
+
+def test_every_exact_read_outside_the_oracle_goes_through_ratio():
+    package = pathlib.Path(fuzzygame.__file__).parent
+    reads = [
+        read for name in ("matrix.py", "solver.py", "cli.py")
+        for read in _exact_reads((package / name).read_text(), name)
+    ]
+    assert reads == []
+
+
+def test_the_exact_read_finder_sees_each_form():
+    source = (
+        "a = x.as_integer_ratio()\nb = x.numerator\nc = x.denominator\n"
+        "d = Fraction(x)\ne = Fraction(1)\nf = Fraction(*ratio(x))\ng = Fraction(1, 2)\n"
+    )
+    assert [read.split(": ")[1] for read in _exact_reads(source, "probe.py")] == [
+        ".as_integer_ratio", ".numerator", ".denominator", "Fraction(x)"
+    ]
