@@ -10,13 +10,18 @@ residual is solved in closed form; a 2xn or mx2 residual goes through
 enumeration of its 2x2 sub-games.  Anything larger is reported as not
 reducible by this method.
 
+A mixed answer is returned only once weak duality certifies it on the
+residual: x earns at least the value center against every column and y
+concedes at most it against every row, so both are optimal and x.A.y is
+the value center.
+
 The minimizing column player of a game is the maximizing row player of its
 negated transpose.  So each test is written once: plain column dominance is
 the row test on two columns with their order swapped, and convex column
-dominance and the column player's guarantee run the row versions on the
-columns of :attr:`PayoffMatrix.scaled_centers`, negated in place.  That
-integer grid is the centers times the lcm of their denominators; a positive
-scale keeps every comparison the convex test and the guarantee make.
+dominance runs the row version on the columns of
+:attr:`PayoffMatrix.scaled_centers`, negated in place.  That integer grid is
+the centers times the lcm of their denominators; a positive scale keeps
+every comparison the convex test and the certificate make.
 
 Mixed strategies, value centers and spreads, the expected payoff and the
 convex blends are exact rationals (``fractions.Fraction``), so results like
@@ -101,13 +106,14 @@ class Solution:
     """Mixed strategies over the ORIGINAL indices, fuzzy value, and trace.
 
     Each strategy vector must lie in [0, 1] entrywise and sum to 1, and no
-    deleted strategy may lie outside its vector or carry probability.  A vector whose nonzero entries
-    are all ints and ``Fraction``\\ s (the solver's own) is checked on their
-    integer ratios: ``0 <= num <= den`` per entry, and one numerator over a
-    common denominator for the sum.  Any other vector, floats or bools
-    among its entries, is checked in its own arithmetic, its entries added
-    left to right, so a float vector sums as floats do, and gets the same
-    verdict on every Python version.
+    deleted strategy may lie off an ``Axis``, outside its vector or carry
+    probability.  A vector whose nonzero entries are all ints and
+    ``Fraction``\\ s (the solver's own) is checked on their integer ratios:
+    ``0 <= num <= den`` per entry, and one numerator over a common
+    denominator for the sum.  Any other vector, floats or bools among its
+    entries, is checked in its own arithmetic, its entries added left to
+    right, so a float vector sums as floats do, and gets the same verdict on
+    every Python version.
     """
 
     x: tuple[Fraction, ...]
@@ -140,7 +146,12 @@ class Solution:
             deleted = step.deleted
             if deleted is None:
                 continue
-            name, vec = ("x", self.x) if deleted.axis is Axis.ROW else ("y", self.y)
+            if deleted.axis is Axis.ROW:
+                name, vec = "x", self.x
+            elif deleted.axis is Axis.COL:
+                name, vec = "y", self.y
+            else:
+                raise ValueError(f"trace step {step} deletes on {deleted.axis!r}, not an Axis")
             if not 0 <= deleted.index < len(vec):
                 raise ValueError(f"trace step {step} deletes outside the {len(vec)} entries of {name}")
             if vec[deleted.index]:
@@ -472,7 +483,7 @@ def solve_2x2(
         if endpoint is not None:
             spread = max(endpoint[2] - center, Fraction(0))
     if spread is None:
-        spread = _expected(pm, x, y, "spread")
+        spread = _expected(pm, x, y)
 
     return Solution(x, y, FuzzyNum(center, spread), SolutionKind.MIXED_2X2, ())
 
@@ -672,7 +683,8 @@ def solve_pipeline(pm: PayoffMatrix, config: PipelineConfig | None = None) -> So
     Probabilities are mapped back to the ORIGINAL indices with exact zeros
     for every deleted strategy, and every step is recorded in the trace.
     Raises :class:`NotReducibleError` when the fixpoint is still larger than
-    2xn / mx2 in both dimensions.
+    2xn / mx2 in both dimensions.  A mixed answer is returned only once
+    :func:`_certified` proves it optimal on the residual.
     """
     config = config or PipelineConfig()
 
@@ -688,31 +700,40 @@ def solve_pipeline(pm: PayoffMatrix, config: PipelineConfig | None = None) -> So
             "internal consistency: dominance reduced a saddle-free game below 2x2"
         )
 
-    ids = {Axis.ROW: reduced.row_ids, Axis.COL: reduced.col_ids}
+    # The lines of the residual that the answer's x and y are played on.
+    rows = cols = (0, 1)
     if (work.rows, work.cols) == (2, 2):
-        sub = solve_2x2(work, config.convention, config.attitude)
+        answers = (solve_2x2(work, config.convention, config.attitude),)
     elif work.rows == 2 or work.cols == 2:
         enum = enumerate_subgames(work, config.convention, config.attitude)
-        chosen = next(c for c in enum.candidates if c.pair == enum.chosen)
-        labels = work.row_labels if enum.axis is Axis.ROW else work.col_labels
-        ids[enum.axis] = tuple(ids[enum.axis][k] for k in enum.chosen)
+        chosen = next(c for c in enum.candidates if c.pair == enum.chosen).solution
+        if enum.axis is Axis.ROW:
+            rows, labels, other = enum.chosen, work.row_labels, "y"
+        else:
+            cols, labels, other = enum.chosen, work.col_labels, "x"
         label = f"sub-game ({', '.join(labels[k] for k in enum.chosen)})"
         centers = tuple(float(c.solution.value.center) for c in enum.candidates)
         steps.append(ReductionStep(StepKind.SUBGAME_SELECTION, None, label, centers))
-        sub = _repaired_subgame_solution(work, enum, chosen)
+        # A saddle sub-game's pure strategy for the player who did not choose can lose
+        # outside the pair (this needs tied values); then it is borrowed from another.
+        answers = itertools.chain((chosen,), (replace(chosen, **{other: getattr(c.solution, other)})
+                                              for c in enum.candidates))
     else:
         raise NotReducibleError(work, tuple(steps))
+    for sub in answers:
+        if _certified(work, rows, sub.x, cols, sub.y, sub.value.center):
+            break
+    else:
+        raise RuntimeError("internal consistency: no answer passes the weak-duality certificate")
     steps.extend(sub.trace)
 
-    solution = Solution(
-        _on_original(pm.rows, ids[Axis.ROW], sub.x),
-        _on_original(pm.cols, ids[Axis.COL], sub.y),
+    return Solution(
+        _on_original(pm.rows, [reduced.row_ids[k] for k in rows], sub.x),
+        _on_original(pm.cols, [reduced.col_ids[k] for k in cols], sub.y),
         sub.value,
         sub.kind,
         tuple(steps),
     )
-    _assert_expected_payoff(pm, solution)
-    return solution
 
 
 def _on_original(
@@ -725,64 +746,41 @@ def _on_original(
     return tuple(out)
 
 
-def _repaired_subgame_solution(
-    work: PayoffMatrix, enum: SubgameEnumeration, chosen: SubgameCandidate
-) -> Solution:
-    """Guarantee-check the selected sub-game on the whole residual.
-
-    The selected value center and the deciding player's strategy are always
-    optimal for the residual, but when the selected sub-game is a saddle its
-    pure strategy for the OTHER player can fail against strategies outside
-    the pair (this needs tied sub-game values).  In that case the strategy
-    is borrowed from another enumerated sub-game that does satisfy the
-    guarantee; such a donor always exists.  The check runs on
-    :attr:`PayoffMatrix.scaled_centers` against the value times
-    :attr:`PayoffMatrix.center_scale`; the column player's guarantee is the
-    row player's on the negated transpose, its columns a negated copy of the rows, against -value.
-    """
-    solution = chosen.solution
-    value = Fraction(*ratio(solution.value.center)) * work.center_scale  # a float cell if a saddle
-    scaled = work.scaled_centers
-    if enum.axis is Axis.COL:
-        other, against = "x", list(zip(*scaled))
-    else:
-        other, against, value = "y", [[-c for c in row] for row in scaled], -value
-    for cand in (chosen, *enum.candidates):
-        mix = getattr(cand.solution, other)
-        if _guarantees(against, mix, value):
-            return solution if cand is chosen else replace(solution, **{other: mix})
-    raise RuntimeError("internal consistency: no enumerated sub-game passes the guarantee")
-
-
-def _guarantees(
-    against: Sequence[Sequence[int]], x: tuple[Fraction, ...], value: Fraction
+def _certified(
+    work: PayoffMatrix, rows: Sequence[int], x: Sequence[Fraction],
+    cols: Sequence[int], y: Sequence[Fraction], center: Fraction | float,
 ) -> bool:
-    # x mixes the entries of each opposing line; every line must pay the maximizer at least value.
-    return all(sum(p * c for p, c in zip(x, line)) >= value for line in against)
+    """Whether x on lines ``rows`` and y on ``cols`` of ``work`` are optimal, of value ``center``.
+
+    Weak duality: x earns at least the value against every column and y
+    concedes at most it against every row, read on
+    :attr:`PayoffMatrix.scaled_centers` with each strategy on one integer
+    denominator and the value center times :attr:`PayoffMatrix.center_scale`.
+    """
+    a = work.scaled_centers
+    (xn, xd), (yn, yd) = _on_denominator(x), _on_denominator(y)
+    vn, vd = ratio(center)  # a float cell if a saddle
+    vn *= work.center_scale
+    floor = min(sum(map(operator.mul, xn, col)) for col in zip(*[a[i] for i in rows]))
+    ceiling = max(sum(q * line[j] for q, j in zip(yn, cols)) for line in a)
+    return floor * vd >= vn * xd and ceiling * vd <= vn * yd
 
 
-def _expected(
-    pm: PayoffMatrix, x: Sequence[Fraction], y: Sequence[Fraction], part: str
-) -> Fraction:
-    # The entries' center or spread (``part``) averaged under (x, y).  A
-    # strategy played with probability 0 adds an exact 0, so summing over
-    # the supports (at most 2x2 after dominance) gives the full sum.  Each
-    # term p*q*v is added as integers to one numerator over one denominator.
-    rows = [(i, *ratio(p)) for i, p in enumerate(x) if p]
-    cols = [(j, *ratio(q)) for j, q in enumerate(y) if q]
-    entries = pm.entries
+def _on_denominator(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+    # The probabilities as integer numerators over their least common denominator.
+    ratios = [ratio(p) for p in probs]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _expected(pm: PayoffMatrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    # The entries' spreads averaged under (x, y), each term p*q*v added as
+    # integers to one numerator over one denominator.
+    cols = [ratio(q) for q in y]
     num, den = 0, 1
-    for i, pn, pd in rows:
-        line = entries[i]
-        for j, qn, qd in cols:
-            vn, vd = ratio(getattr(line[j], part))
+    for (pn, pd), line in zip(map(ratio, x), pm.entries):
+        for (qn, qd), entry in zip(cols, line):
+            vn, vd = ratio(entry.spread)
             td = pd * qd * vd
             num, den = num * td + pn * qn * vn * den, den * td
     return Fraction(num, den)
-
-
-def _assert_expected_payoff(pm: PayoffMatrix, solution: Solution) -> None:
-    if _expected(pm, solution.x, solution.y, "center") != solution.value.center:
-        raise RuntimeError(
-            "internal consistency: expected payoff does not match the value center"
-        )

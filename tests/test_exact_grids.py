@@ -160,10 +160,23 @@ def test_saddle_exactly_when_the_closed_form_is_not_strictly_mixed(monkeypatch):
 
 
 @SETTINGS
-@given(games, probabilities, probabilities, st.sampled_from(("center", "spread")))
-def test_expected_matches_fraction_reference(pm, p, q, part):
+@given(games, probabilities, probabilities)
+def test_expected_matches_fraction_reference(pm, p, q):
     x, y = (p, 1 - p), (1 - q, q)
-    assert repr(solver._expected(pm, x, y, part)) == repr(reference_expected(pm, x, y, part))
+    assert repr(solver._expected(pm, x, y)) == repr(reference_expected(pm, x, y, "spread"))
+
+
+@SETTINGS
+@given(games, probabilities, probabilities)
+def test_certificate_matches_fraction_reference(pm, p, q):
+    # At the expected payoff and at each strategy's own guarantee, where one
+    # side of the test holds with equality.
+    x, y = (p, 1 - p), (1 - q, q)
+    centers = [[Fraction(e.center) for e in row] for row in pm.entries]
+    floor = min(x[0] * top + x[1] * bottom for top, bottom in zip(*centers))
+    ceiling = max(y[0] * left + y[1] * right for left, right in centers)
+    for center in (reference_expected(pm, x, y, "center"), floor, ceiling):
+        assert solver._certified(pm, (0, 1), x, (0, 1), y, center) == (floor >= center >= ceiling)
 
 
 @SETTINGS

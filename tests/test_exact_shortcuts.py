@@ -2,11 +2,13 @@
 
 ``_evidence`` reads each entry's dominance index straight off the centers
 and spreads (``dominance_index``) instead of going through ``di_fuzzy`` on
-their LR triples, and ``_assert_expected_payoff`` sums the expected payoff
-over the supports of x and y instead of over every cell.  Both must give
-exactly what the full computation gives.
+their LR triples, ``_expected`` sums the spreads over the supports of x and
+y instead of over every cell, and ``_certified`` tests weak duality on the
+integer grid of the centers instead of in ``Fraction`` arithmetic.  Each
+must give exactly what the full computation gives.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from fuzzygame import FuzzyNum, NotReducibleError, PayoffMatrix, StepKind, solve_pipeline
 from fuzzygame.fuzzy import di_fuzzy
-from fuzzygame.solver import Solution, SolutionKind, _assert_expected_payoff, _evidence
+from fuzzygame.solver import Solution, SolutionKind, _certified, _evidence, _expected
 
 
 def entry_di(a, b):
@@ -44,12 +46,27 @@ def full_sum_accepts(pm, solution):
     return expected == F(solution.value.center)
 
 
+def full_duality_accepts(pm, solution):
+    # Weak duality in Fraction arithmetic: x earns at least the value center
+    # against every column, and y concedes at most it against every row.
+    x, y, value = solution.x, solution.y, F(solution.value.center)
+    centers = [[F(e.center) for e in row] for row in pm.entries]
+    floor = min(sum(p * c for p, c in zip(x, col)) for col in zip(*centers))
+    ceiling = max(sum(q * c for q, c in zip(y, row)) for row in centers)
+    return floor >= value >= ceiling
+
+
 def shortcut_accepts(pm, solution):
-    try:
-        _assert_expected_payoff(pm, solution)
-    except RuntimeError:
-        return False
-    return True
+    # The solver's certificate, on every line of the game.
+    return _certified(pm, range(pm.rows), solution.x, range(pm.cols), solution.y,
+                      solution.value.center)
+
+
+def full_spread_sum(pm, x, y):
+    # The spreads averaged under (x, y), summed over every cell of the game.
+    return sum(
+        x[i] * y[j] * F(pm.entry(i, j).spread) for i in range(pm.rows) for j in range(pm.cols)
+    )
 
 
 def _center(rng):
@@ -117,8 +134,8 @@ def _random_game(rng, m, n):
     )
 
 
-class TestExpectedPayoffOnSupports:
-    def test_agrees_with_full_sum_on_pipeline_solutions(self, planted_game):
+class TestCertificateAndSpreadOnSupports:
+    def test_certificate_agrees_with_full_duality_on_pipeline_solutions(self, planted_game):
         rng = random.Random(2718)
         games = [planted_game(rng.randrange(10**9), rng.randint(2, 16), rng.randint(2, 16))
                  for _ in range(160)]
@@ -132,17 +149,21 @@ class TestExpectedPayoffOnSupports:
                 continue
             solved += 1
             subgame += any(s.kind is StepKind.SUBGAME_SELECTION for s in sol.trace)
-            assert full_sum_accepts(pm, sol)
+            # Every answer is optimal on the whole game, so it meets x.A.y = v.
+            assert full_duality_accepts(pm, sol)
             assert shortcut_accepts(pm, sol)
-            off = replace(sol, value=FuzzyNum(F(sol.value.center) + F(1, 10**12), 0))
-            assert not full_sum_accepts(pm, off)
-            assert not shortcut_accepts(pm, off)
+            assert full_sum_accepts(pm, sol)
+            for nudge in (F(1, 10**12), -F(1, 10**12)):
+                off = replace(sol, value=FuzzyNum(F(sol.value.center) + nudge, 0))
+                assert not full_duality_accepts(pm, off)
+                assert not shortcut_accepts(pm, off)
         assert solved >= 200
         assert subgame >= 30
 
-    def test_agrees_with_full_sum_on_any_strategies(self):
-        # Supports of every size, full ones included; the value is the full
-        # sum itself, or that sum nudged.
+    def test_agree_with_full_sums_on_any_strategies(self):
+        # Supports of every size, full ones included; the value is the
+        # expected payoff, x's floor or y's ceiling, each also nudged.  One
+        # game in three has a saddle planted at (i, j), and x and y play it.
         rng = random.Random(1618)
 
         def mix(size):
@@ -152,15 +173,30 @@ class TestExpectedPayoffOnSupports:
             total = sum(weights)
             return tuple(F(w, total) for w in weights)
 
-        for _ in range(300):
+        verdicts = collections.Counter()
+        for round_ in range(300):
             m, n = rng.randint(1, 16), rng.randint(1, 16)
-            pm = PayoffMatrix.of(
-                [[(_center(rng), _spread(rng)) for _ in range(n)] for _ in range(m)]
-            )
+            cells = [[[_center(rng), _spread(rng)] for _ in range(n)] for _ in range(m)]
             x, y = mix(m), mix(n)
-            value = sum(
-                x[i] * y[j] * F(pm.entry(i, j).center) for i in range(m) for j in range(n)
-            )
-            for center in (value, value + F(1, 10**15), value - 1):
-                sol = Solution(x, y, FuzzyNum(center, 0), SolutionKind.MIXED_2X2, ())
-                assert shortcut_accepts(pm, sol) == full_sum_accepts(pm, sol)
+            if round_ % 3 == 0:
+                i, j = rng.randrange(m), rng.randrange(n)
+                saddle = cells[i][j][0]
+                for k in range(n):
+                    cells[i][k][0] = max(cells[i][k][0], saddle)
+                for k in range(m):
+                    cells[k][j][0] = min(cells[k][j][0], saddle)
+                x = tuple(F(k == i) for k in range(m))
+                y = tuple(F(k == j) for k in range(n))
+            pm = PayoffMatrix.of(cells)
+            assert _expected(pm, x, y) == full_spread_sum(pm, x, y)
+            centers = [[F(e.center) for e in row] for row in pm.entries]
+            value = sum(x[i] * y[j] * centers[i][j] for i in range(m) for j in range(n))
+            floor = min(sum(p * c for p, c in zip(x, col)) for col in zip(*centers))
+            ceiling = max(sum(q * c for q, c in zip(y, row)) for row in centers)
+            for base in (value, floor, ceiling):
+                for center in (base, base + F(1, 10**15), base - F(1, 10**15)):
+                    sol = Solution(x, y, FuzzyNum(center, 0), SolutionKind.MIXED_2X2, ())
+                    verdict = full_duality_accepts(pm, sol)
+                    assert shortcut_accepts(pm, sol) == verdict
+                    verdicts[verdict] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20

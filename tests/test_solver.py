@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,8 +36,9 @@ from fuzzygame import (
     solve_pipeline,
     submatrix,
 )
+from fuzzygame import solver
 from fuzzygame.fuzzy import dominance_index
-from fuzzygame.solver import Solution, _assert_expected_payoff, _lines
+from fuzzygame.solver import Solution, _certified, _lines
 
 
 def random_matrix(rng, m, n, lo=-20, hi=20, max_spread=0.5):
@@ -496,12 +496,32 @@ class TestExactInvariants:
         with pytest.raises(ValueError, match="deleted strategy .* carries nonzero probability"):
             Solution((F(1, 2), F(1, 2)), (F(1),), FuzzyNum(0, 0), SolutionKind.MIXED_2X2, (step,))
 
-    def test_expected_payoff_must_match_the_value_exactly(self, simulation_3x4):
+    def test_deleted_strategy_must_lie_on_an_axis(self):
+        # An axis given as the string "row" used to be checked against y, so
+        # x could play the strategy this step deletes.
+        step = ReductionStep(StepKind.ROW_DOMINANCE, StrategyIndex("row", 0), "A2", ())
+        with pytest.raises(ValueError, match="deletes on 'row', not an Axis"):
+            Solution((F(1), F(0)), (F(0), F(1)), FuzzyNum(0, 0), SolutionKind.MIXED_2X2, (step,))
+
+    @pytest.mark.parametrize("nudge", [F(1, 10**12), -F(1, 10**12)])
+    def test_certificate_refuses_a_value_off_by_one_part_in_10_12(self, simulation_3x4, nudge):
+        # Read on every line of the game: x's floor fails a value nudged up,
+        # y's ceiling one nudged down.
         good = solve_pipeline(simulation_3x4)
-        _assert_expected_payoff(simulation_3x4, good)
-        off = replace(good, value=FuzzyNum(F(good.value.center) + F(1, 10**12), 0))
-        with pytest.raises(RuntimeError, match="expected payoff"):
-            _assert_expected_payoff(simulation_3x4, off)
+        rows, cols = range(simulation_3x4.rows), range(simulation_3x4.cols)
+        center = F(good.value.center)
+        assert _certified(simulation_3x4, rows, good.x, cols, good.y, center)
+        assert not _certified(simulation_3x4, rows, good.x, cols, good.y, center + nudge)
+
+    def test_non_optimal_answer_meeting_the_expected_payoff_is_refused(self, monkeypatch):
+        # x = (1, 0) against y = (1/2, 1/2) pays exactly 1/2, the value, but
+        # x earns 0 against the second column: no certificate, no answer.
+        pm = PayoffMatrix.of([[(1, 0.1), (0, 0.1)], [(0, 0.1), (1, 0.1)]])
+        wrong = Solution((F(1), F(0)), (F(1, 2), F(1, 2)), FuzzyNum(F(1, 2), 0.1),
+                         SolutionKind.MIXED_2X2, ())
+        monkeypatch.setattr(solver, "solve_2x2", lambda *args: wrong)
+        with pytest.raises(RuntimeError, match="weak-duality certificate"):
+            solve_pipeline(pm)
 
 
 class TestSolutionInvariants:
