@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 
 # Largest magnitude a center or spread may take.  Every value must survive
@@ -49,6 +50,16 @@ class Relation(Enum):
 class Choice(Enum):
     A = "a"
     B = "b"
+
+
+def refuse_non_member(name: str, value: object, kind: type[Enum]) -> None:
+    """Raise ``ValueError`` naming setting ``name`` unless ``value`` is a member of ``kind``.
+
+    A string such as ``"pessimistic"`` is refused too: an ``is`` test against
+    one member would read it as the other.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {' or '.join(map(str, kind))}, got {value!r}")
 
 
 def _refuse_unfit(**fields: float) -> None:
@@ -100,6 +111,13 @@ def ratio(value: float) -> tuple[int, int]:
     A float reads as the binary value it holds (0.3 as 5404319552844595/2**54); inf and NaN raise.
     """
     return value.as_integer_ratio()
+
+
+def on_denominator(values: Iterable[float]) -> tuple[list[int], int]:
+    """``(nums, den)``: the values times ``den``, the lcm of their :func:`ratio` denominators, as ints."""
+    ratios = [ratio(v) for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _in_float_range(value: float) -> float:
@@ -329,13 +347,15 @@ def prefer_min(a: FuzzyNum, b: FuzzyNum, attitude: Attitude = Attitude.PESSIMIST
 
     The smaller center wins outright.  Equal centers fall back to the
     attitude: pessimistic takes the smaller spread, optimistic the larger.
-    Exact ties go to the first argument.
+    Exact ties go to the first argument.  ``attitude`` must be an :class:`Attitude`.
     """
+    refuse_non_member("attitude", attitude, Attitude)
     return _prefer(a, b, a.center < b.center, attitude)
 
 
 def prefer_max(a: FuzzyNum, b: FuzzyNum, attitude: Attitude = Attitude.PESSIMISTIC) -> Choice:
     """Mirror of :func:`prefer_min` for a maximizer; same spread policy."""
+    refuse_non_member("attitude", attitude, Attitude)
     return _prefer(a, b, a.center > b.center, attitude)
 
 

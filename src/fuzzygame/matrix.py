@@ -17,13 +17,12 @@ exactly as parsed (no rounding), so serialize/parse round-trips bit-exact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .fuzzy import FuzzyNum, ratio
+from .fuzzy import FuzzyNum, on_denominator
 
 
 class MatrixError(ValueError):
@@ -178,13 +177,14 @@ class PayoffMatrix:
     def scaled_centers(self) -> tuple[tuple[int, ...], ...]:
         """Each center times :attr:`center_scale`, as an exact int, computed on first use and kept.
 
-        One pass reads each center's :func:`~fuzzygame.fuzzy.ratio` once, for
-        both.  The scale is positive, so every sign, order and ratio of
+        One :func:`~fuzzygame.fuzzy.on_denominator` call over every center
+        gives both.  The scale is positive, so every sign, order and ratio of
         differences of the centers is the same on this grid.
         """
-        ratios = [[ratio(e.center) for e in row] for row in self.entries]
-        scale = self.__dict__["center_scale"] = math.lcm(*[den for row in ratios for _, den in row])
-        return tuple([tuple([num * (scale // den) for num, den in row]) for row in ratios])
+        nums, scale = on_denominator([e.center for row in self.entries for e in row])
+        self.__dict__["center_scale"] = scale
+        n = len(self.entries[0])
+        return tuple([tuple(nums[k:k + n]) for k in range(0, len(nums), n)])
 
 
 def _cut(entries: tuple, row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> PayoffMatrix:

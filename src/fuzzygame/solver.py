@@ -20,15 +20,15 @@ negated transpose.  So each test is written once: plain column dominance is
 the row test on two columns with their order swapped, and convex column
 dominance runs the row version on the columns of
 :attr:`PayoffMatrix.scaled_centers`, negated in place.  That integer grid is
-the centers times the lcm of their denominators; a positive scale keeps
+the centers on their least common denominator; a positive scale keeps
 every comparison the convex test and the certificate make.
 
 Mixed strategies, value centers and spreads, the expected payoff and the
 convex blends are exact rationals (``fractions.Fraction``), so results like
 15/16 are exact.  Each number is read through :func:`fuzzygame.fuzzy.ratio`,
-a float as its binary value, onto integer grids (the cells times the lcm
-of their denominators, or a numerator over one common denominator), and
-each returned ``Fraction`` is built once, from its integer numerator and
+a float as its binary value; :func:`fuzzygame.fuzzy.on_denominator` puts the
+numbers of one integer grid on their least common denominator, and each
+returned ``Fraction`` is built once, from its integer numerator and
 denominator.
 """
 
@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fuzzy import Attitude, Choice, FuzzyNum, dominance_index, prefer_max, prefer_min, ratio
+from .fuzzy import (
+    Attitude, Choice, FuzzyNum, dominance_index, on_denominator, prefer_max, prefer_min, ratio,
+    refuse_non_member,
+)
 # Unused here (_evidence calls dominance_index on the entries' own numbers),
 # but perfbench/spans.py traces the dominance index at solver.di_fuzzy.
 from .fuzzy import di_fuzzy  # noqa: F401
@@ -208,6 +210,7 @@ class PipelineConfig:
     of a plain deletion to reach it (convex deletions ignore it); the
     default 0 uses weak dominance on centers, which is what the worked
     reductions need.  ``betas`` is kept as a checked copy: each in [0, 1].
+    ``attitude`` and ``convention`` must be members of their enums.
     """
 
     threshold: float = 0.0
@@ -216,10 +219,16 @@ class PipelineConfig:
     convention: SpreadConvention = SpreadConvention.EXPECTED
 
     def __post_init__(self) -> None:
-        if not self.threshold >= 0:  # NaN included
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        _check_threshold(self.threshold)
+        refuse_non_member("attitude", self.attitude, Attitude)
+        refuse_non_member("convention", self.convention, SpreadConvention)
         if type(self.betas) is not _Grid:
             object.__setattr__(self, "betas", _Grid(self.betas))
+
+
+def _check_threshold(threshold: float) -> None:
+    if not threshold >= 0:  # NaN included
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
 
 def _evidence(lo: Sequence[FuzzyNum], hi: Sequence[FuzzyNum]) -> tuple[float, ...]:
@@ -237,6 +246,7 @@ def find_saddle(
     centers coincide.  Among tied cells the attitude picks the entry
     (pessimistic: smaller spread), first in row-major order on exact ties.
     """
+    refuse_non_member("attitude", attitude, Attitude)
     centers = pm.centers()
     row_min = tuple(min(row) for row in centers)
     col_max = tuple(map(max, zip(*centers)))
@@ -254,7 +264,8 @@ def find_saddle(
 
 def _check_index(pm: PayoffMatrix, axis: Axis, *indices: int) -> None:
     # The public tests call this only when their one chained comparison
-    # fails; it names the fault: a repeated index first, then one out of range.
+    # fails; it names an index fault, if there is one: a repeated index first,
+    # then one out of range.
     if len(set(indices)) != len(indices):
         raise ValueError(f"{axis.value} indices {indices} must be distinct")
     size = pm.rows if axis is Axis.ROW else pm.cols
@@ -271,12 +282,13 @@ def row_dominates(
     Row ``i`` must be entrywise at least row ``r`` on centers with one strict
     gap; exact duplicates are deletable when the dominator has the lower
     index.  A positive ``threshold`` additionally requires every per-column
-    dominance index to reach it.
+    dominance index to reach it; a negative or NaN one is refused.
     """
     entries = pm.entries
     size = len(entries)
-    if not (0 <= i < size and 0 <= r < size and i != r):
+    if not (0 <= i < size and 0 <= r < size and i != r and threshold >= 0):
         _check_index(pm, Axis.ROW, i, r)
+        _check_threshold(threshold)
     return _covers(entries[i], entries[r], i < r, threshold)
 
 
@@ -292,8 +304,9 @@ def col_dominates(
     """
     columns = pm.columns
     size = len(columns)
-    if not (0 <= j < size and 0 <= s < size and j != s):
+    if not (0 <= j < size and 0 <= s < size and j != s and threshold >= 0):
         _check_index(pm, Axis.COL, j, s)
+        _check_threshold(threshold)
     return _covers(columns[s], columns[j], j < s, threshold)
 
 
@@ -324,19 +337,16 @@ def _blends(
     first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: float
 ) -> tuple[FuzzyNum, ...]:
     # Exact rational blend keeps the dominance comparisons deterministic.
-    # With beta = bn/bd, u = un/ud and v = vn/vd, beta*u + (1 - beta)*v is
-    # one integer numerator over bd*ud*vd, normalised once.
+    # With beta = bn/bd and u, v numerators over one denominator den,
+    # beta*u + (1 - beta)*v is one integer numerator over bd*den, normalised once.
     bn, bd = ratio(beta)
     rest = bd - bn
-
-    def blend(u, v) -> Fraction:
-        un, ud = ratio(u)
-        vn, vd = ratio(v)
-        return Fraction(bn * un * vd + rest * vn * ud, bd * ud * vd)
-
+    n = len(first)
+    centers, cd = on_denominator([a.center for a in first] + [b.center for b in second])
+    spreads, sd = on_denominator([a.spread for a in first] + [b.spread for b in second])
     return tuple(
-        FuzzyNum(blend(a.center, b.center), blend(a.spread, b.spread))
-        for a, b in zip(first, second)
+        FuzzyNum(Fraction(bn * cu + rest * cv, bd * cd), Fraction(bn * su + rest * sv, bd * sd))
+        for cu, cv, su, sv in zip(centers, centers[n:], spreads, spreads[n:])
     )
 
 
@@ -466,6 +476,8 @@ def solve_2x2(
     ENDPOINT applies the center formula to the right endpoints m + w and
     clamps at zero (falling back to EXPECTED if its denominator vanishes).
     """
+    refuse_non_member("convention", convention, SpreadConvention)
+    refuse_non_member("attitude", attitude, Attitude)
     if (pm.rows, pm.cols) != (2, 2):
         raise ShapeError(f"solve_2x2 needs a 2x2 matrix, got {pm.rows}x{pm.cols}")
 
@@ -509,17 +521,14 @@ def _closed_form(
 def _endpoint_grid(pm: PayoffMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The right endpoints ``center + spread`` as an integer grid and its positive scale.
 
-    The centers are already on :attr:`PayoffMatrix.scaled_centers`, so only
-    the spreads' ratios are read; the scale is the lcm of
-    :attr:`PayoffMatrix.center_scale` and the spread denominators.
+    One :func:`~fuzzygame.fuzzy.on_denominator` call puts every center and
+    then every spread on one denominator, the scale; each endpoint is the sum
+    of its center's and its spread's numerators.
     """
-    spreads = [[ratio(e.spread) for e in row] for row in pm.entries]
-    scale = math.lcm(pm.center_scale, *(den for row in spreads for _, den in row))
-    lift = scale // pm.center_scale
-    return tuple(
-        tuple(c * lift + num * (scale // den) for c, (num, den) in zip(centers, row))
-        for centers, row in zip(pm.scaled_centers, spreads)
-    ), scale
+    cells = [e for row in pm.entries for e in row]
+    nums, scale = on_denominator([e.center for e in cells] + [e.spread for e in cells])
+    ends = list(map(operator.add, nums, nums[len(cells):]))
+    return tuple([tuple(ends[k:k + pm.cols]) for k in range(0, len(ends), pm.cols)]), scale
 
 
 @dataclass(frozen=True)
@@ -551,6 +560,8 @@ def enumerate_subgames(
     greatest.  Ties fall to the smaller value spread, then to the
     lexicographically first pair.
     """
+    refuse_non_member("convention", convention, SpreadConvention)
+    refuse_non_member("attitude", attitude, Attitude)
     if pm.rows == 2 and pm.cols >= 3:
         axis, size, prefer = Axis.COL, pm.cols, prefer_min
     elif pm.cols == 2 and pm.rows >= 3:
@@ -758,19 +769,12 @@ def _certified(
     denominator and the value center times :attr:`PayoffMatrix.center_scale`.
     """
     a = work.scaled_centers
-    (xn, xd), (yn, yd) = _on_denominator(x), _on_denominator(y)
+    (xn, xd), (yn, yd) = on_denominator(x), on_denominator(y)
     vn, vd = ratio(center)  # a float cell if a saddle
     vn *= work.center_scale
     floor = min(sum(map(operator.mul, xn, col)) for col in zip(*[a[i] for i in rows]))
     ceiling = max(sum(q * line[j] for q, j in zip(yn, cols)) for line in a)
     return floor * vd >= vn * xd and ceiling * vd <= vn * yd
-
-
-def _on_denominator(probs: Sequence[Fraction]) -> tuple[list[int], int]:
-    # The probabilities as integer numerators over their least common denominator.
-    ratios = [ratio(p) for p in probs]
-    den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
 
 
 def _expected(pm: PayoffMatrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

@@ -19,21 +19,30 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzygame import (
+    Attitude,
     Axis,
     EmptyMatrixError,
     FuzzyNum,
     NegativeSpreadError,
     NonFiniteNumberError,
     PayoffMatrix,
+    PipelineConfig,
     SelectionError,
     SolutionKind,
+    SpreadConvention,
     StepKind,
     StrategyIndex,
     col_dominates,
     convex_col_dominates,
     convex_row_dominates,
+    enumerate_subgames,
+    find_saddle,
     parse_matrix,
+    prefer_max,
+    prefer_min,
     row_dominates,
+    solve_2x2,
+    solve_pipeline,
     submatrix,
 )
 from fuzzygame.solver import ReductionStep, Solution
@@ -392,6 +401,84 @@ class TestDominanceIndices:
     def test_valid_indices_pass(self, dominance_3x3, test, axis, arity):
         for indices in itertools.permutations(range(3), arity):
             test(dominance_3x3, *indices)
+
+    @pytest.mark.parametrize("test", [row_dominates, col_dominates])
+    @pytest.mark.parametrize("threshold", [math.nan, -5, -0.5, -math.inf])
+    def test_refuses_a_threshold_as_pipeline_config_does(self, test, threshold):
+        # Row A1 dominates A2 and column B1 dominates B2: a threshold read as 0 gives evidence.
+        pm = PayoffMatrix.of([[(1, 0.1), (2, 0.1)], [(0, 0.1), (1, 0.1)]])
+        message = f"threshold must be nonnegative, got {threshold}"
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(threshold=threshold)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            test(pm, 0, 1, threshold)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("test, axis", [(row_dominates, Axis.ROW), (col_dominates, Axis.COL)])
+    def test_indices_are_checked_before_the_threshold(self, dominance_3x3, test, axis):
+        with pytest.raises(IndexError) as info:
+            test(dominance_3x3, 0, 3, -1)
+        assert str(info.value) == f"{axis.value} index 3 out of range for size 3"
+        with pytest.raises(ValueError) as info:
+            test(dominance_3x3, 1, 1, math.nan)
+        assert str(info.value) == f"{axis.value} indices (1, 1) must be distinct"
+
+    @pytest.mark.parametrize("test, d, s", [(row_dominates, 1, 2), (col_dominates, 0, 2)])
+    @pytest.mark.parametrize("threshold", [0, -0.0, 0.5, math.inf])
+    def test_a_nonnegative_threshold_passes(self, dominance_3x3, test, d, s, threshold):
+        # Every index of these deletions lies in [2, 15]: only inf is out of reach.
+        assert (test(dominance_3x3, d, s, threshold) is None) == (threshold == math.inf)
+
+
+# Row A1 holds two saddle cells with equal centers: a pessimist takes the
+# narrower (A1, B1), an optimist the wider (A1, B2).
+TIED_SADDLES = PayoffMatrix.of([[(1, 0.1), (1, 0.5)], [(0, 0.1), (0, 0.1)]])
+MIXED_2X2 = PayoffMatrix.of([[(1, 0.2), (7, 0.3)], [(6, 0.2), (2, 0.1)]])
+MIXED_2X3 = PayoffMatrix.of([[(1, 0.2), (7, 0.3), (4, 0.1)], [(6, 0.2), (2, 0.1), (5, 0.4)]])
+MEMBERS = {
+    "attitude": "Attitude.PESSIMISTIC or Attitude.OPTIMISTIC",
+    "convention": "SpreadConvention.EXPECTED or SpreadConvention.ENDPOINT",
+}
+NON_MEMBERS = ["pessimistic", "optimistic", "expected", "endpoint", None, 0, True]
+
+
+class TestSettings:
+    """A setting that is not a member of its enum is refused, never read as the other member."""
+
+    @pytest.mark.parametrize("field, value", [
+        *[(field, value) for field in MEMBERS for value in NON_MEMBERS],
+        ("attitude", SpreadConvention.ENDPOINT),
+        ("convention", Attitude.OPTIMISTIC),
+    ])
+    def test_pipeline_config_refuses_a_non_member(self, field, value):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(**{field: value})
+        assert str(info.value) == f"{field} must be {MEMBERS[field]}, got {value!r}"
+
+    def test_each_attitude_picks_its_own_saddle(self):
+        picks = {
+            attitude: solve_pipeline(TIED_SADDLES, PipelineConfig(attitude=attitude)).trace[0].dominator
+            for attitude in Attitude
+        }
+        assert picks == {
+            Attitude.PESSIMISTIC: "saddle at (A1, B1)", Attitude.OPTIMISTIC: "saddle at (A1, B2)"
+        }
+
+    @pytest.mark.parametrize("function, args, field", [
+        (find_saddle, (TIED_SADDLES,), "attitude"),
+        (prefer_min, (FuzzyNum(1, 0.1), FuzzyNum(1, 0.5)), "attitude"),
+        (prefer_max, (FuzzyNum(1, 0.1), FuzzyNum(1, 0.5)), "attitude"),
+        (solve_2x2, (TIED_SADDLES,), "attitude"),
+        (solve_2x2, (MIXED_2X2,), "convention"),
+        (enumerate_subgames, (MIXED_2X3,), "attitude"),
+        (enumerate_subgames, (MIXED_2X3,), "convention"),
+    ], ids=lambda case: getattr(case, "__name__", None))
+    @pytest.mark.parametrize("value", NON_MEMBERS)
+    def test_public_functions_refuse_a_non_member(self, function, args, field, value):
+        with pytest.raises(ValueError) as info:
+            function(*args, **{field: value})
+        assert str(info.value) == f"{field} must be {MEMBERS[field]}, got {value!r}"
 
 
 class TestFuzzyNum:

@@ -29,7 +29,7 @@ from fuzzygame import (
     trapezoid_eval,
 )
 import fuzzygame
-from fuzzygame.fuzzy import MAX_MAGNITUDE, dominance_index, ratio
+from fuzzygame.fuzzy import MAX_MAGNITUDE, dominance_index, on_denominator, ratio
 
 
 def lr(center, spread):
@@ -493,9 +493,61 @@ class TestRatio:
         assert F(num, den) == F(value) and den & (den - 1) == 0 and math.gcd(num, den) == 1
 
 
+def reference_on_denominator(values):
+    fractions = [F(v) for v in values]
+    den = math.lcm(*[f.denominator for f in fractions])
+    return [int(f * den) for f in fractions], den
+
+
+FLOAT_EDGES = (5e-324, -5e-324, -0.0, 0.0, sys.float_info.max, -sys.float_info.max, 0.3, 1e-300)
+exact_values = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(FLOAT_EDGES + (MAX_MAGNITUDE, -MAX_MAGNITUDE, F(MAX_MAGNITUDE, 3))),
+)
+
+
+class TestOnDenominator:
+    """``on_denominator`` puts values on their least common denominator, as ``Fraction`` does."""
+
+    @pytest.mark.parametrize("values, expected", [
+        ([], ([], 1)),
+        ([7], ([7], 1)),
+        ([F(1, 2), F(1, 3), 1], ([3, 2, 6], 6)),
+        ([F(-3, 4), 0.5, 2], ([-3, 2, 8], 4)),
+        ([-0.0, 0], ([0, 0], 1)),
+        ([0.3], ([5404319552844595], 2**54)),
+        ([5e-324, 1], ([1, 2**1074], 2**1074)),
+        ([sys.float_info.max, -sys.float_info.max, 5e-324],
+         ([MAX_MAGNITUDE * 2**1074, -MAX_MAGNITUDE * 2**1074, 1], 2**1074)),
+    ])
+    def test_worked_values(self, values, expected):
+        got = on_denominator(values)
+        assert got == expected == reference_on_denominator(values)
+        assert all(type(n) is int for n in got[0]) and type(got[1]) is int
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(exact_values, max_size=8))
+    def test_matches_fraction_reference(self, values):
+        nums, den = on_denominator(values)
+        assert (nums, den) == reference_on_denominator(values)
+        assert den > 0 and all(type(n) is int for n in nums) and type(den) is int
+        assert [F(n, den) for n in nums] == [F(v) for v in values]
+
+    @pytest.mark.parametrize("value, error", [
+        (math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError),
+    ])
+    def test_refuses_what_ratio_refuses(self, value, error):
+        with pytest.raises(error):
+            on_denominator([1, value])
+
+
 # Where the solver and the CLI read a number exactly: a ratio attribute, or
 # Fraction(x) of one non-constant argument.  Fraction(*ratio(x)) passes two.
+# A call of lcm or gcd builds a common denominator that on_denominator builds.
 _EXACT_ATTRIBUTES = {"as_integer_ratio", "numerator", "denominator"}
+_DENOMINATOR_CALLS = {"lcm", "gcd"}
 
 
 def _exact_reads(source, name):
@@ -512,6 +564,10 @@ def _exact_reads(source, name):
             and not isinstance(node.args[0], (ast.Constant, ast.Starred))
         ):
             reads.append((node.lineno, f"{name}:{node.lineno}: Fraction(x)"))
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in _DENOMINATOR_CALLS:
+                reads.append((node.lineno, f"{name}:{node.lineno}: {called}()"))
     return [read for _, read in sorted(reads)]
 
 
@@ -528,7 +584,8 @@ def test_the_exact_read_finder_sees_each_form():
     source = (
         "a = x.as_integer_ratio()\nb = x.numerator\nc = x.denominator\n"
         "d = Fraction(x)\ne = Fraction(1)\nf = Fraction(*ratio(x))\ng = Fraction(1, 2)\n"
+        "h = math.lcm(a, b)\ni = gcd(a, b)\nj = on_denominator(x)\n"
     )
     assert [read.split(": ")[1] for read in _exact_reads(source, "probe.py")] == [
-        ".as_integer_ratio", ".numerator", ".denominator", "Fraction(x)"
+        ".as_integer_ratio", ".numerator", ".denominator", "Fraction(x)", "lcm()", "gcd()"
     ]
