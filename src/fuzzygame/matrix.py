@@ -93,6 +93,8 @@ class PayoffMatrix:
             )
         if len(self.col_labels) != n:
             raise MatrixError(f"{len(self.col_labels)} column labels for {n} columns")
+        _check_labels("row", self.row_labels)
+        _check_labels("column", self.col_labels)
         if len(set(self.row_labels)) != len(self.row_labels):
             raise DuplicateLabelsError(f"duplicate row labels: {self.row_labels}")
         if len(set(self.col_labels)) != len(self.col_labels):
@@ -165,7 +167,7 @@ class PayoffMatrix:
         return cut
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(e.center for e in row) for row in self.entries)
+        return tuple([tuple([e.center for e in row]) for row in self.entries])
 
     @cached_property
     def center_scale(self) -> int:
@@ -185,6 +187,19 @@ class PayoffMatrix:
         self.__dict__["center_scale"] = scale
         n = len(self.entries[0])
         return tuple([tuple(nums[k:k + n]) for k in range(0, len(nums), n)])
+
+
+def _check_labels(axis: str, labels: tuple) -> None:
+    """Refuse a label that is not a ``str`` or cannot be written as UTF-8 (a lone surrogate)."""
+    if all(type(label) is str for label in labels) and "".join(labels).isascii():
+        return  # the default labels, and most others
+    for label in labels:
+        if not isinstance(label, str):
+            raise MatrixError(f"{axis} label {label!r} is not a string")
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MatrixError(f"{axis} label {label!r} cannot be written as UTF-8") from None
 
 
 def _cut(entries: tuple, row_labels: tuple[str, ...], col_labels: tuple[str, ...]) -> PayoffMatrix:

@@ -248,7 +248,7 @@ def find_saddle(
     """
     refuse_non_member("attitude", attitude, Attitude)
     centers = pm.centers()
-    row_min = tuple(min(row) for row in centers)
+    row_min = tuple(map(min, centers))
     col_max = tuple(map(max, zip(*centers)))
     if max(row_min) != min(col_max):
         return None
@@ -467,25 +467,21 @@ def solve_2x2(
         y = ((m22 - m12)/D, (m11 - m21)/D)
         value center = (m11*m22 - m12*m21)/D
 
-    all exact rationals.  The mix is strict (every probability in (0, 1))
-    exactly when both diagonal centers lie above both others, or both below,
-    and the game has a pure saddle exactly when it is not.  That test runs
-    first, on the ints of :attr:`PayoffMatrix.scaled_centers`; a saddle goes
-    to :func:`find_saddle`, whose entry is the value.  A mixed value's spread
-    follows the convention: EXPECTED averages the entry spreads under (x, y);
-    ENDPOINT applies the center formula to the right endpoints m + w and
-    clamps at zero (falling back to EXPECTED if its denominator vanishes).
+    all exact rationals.  :func:`find_saddle` decides first, and checks the
+    attitude: a saddle's entry is the value.  A 2x2 game has no pure saddle
+    exactly when its mix is strict (every probability in (0, 1)), so D != 0
+    for the rest, and the formula runs on the ints of
+    :attr:`PayoffMatrix.scaled_centers`.  A mixed value's spread follows the
+    convention: EXPECTED averages the entry spreads under (x, y); ENDPOINT
+    applies the center formula to the right endpoints m + w and clamps at
+    zero (falling back to EXPECTED if its denominator vanishes).
     """
     refuse_non_member("convention", convention, SpreadConvention)
-    refuse_non_member("attitude", attitude, Attitude)
     if (pm.rows, pm.cols) != (2, 2):
         raise ShapeError(f"solve_2x2 needs a 2x2 matrix, got {pm.rows}x{pm.cols}")
 
-    (a11, a12), (a21, a22) = pm.scaled_centers
-    if not (min(a11, a22) > max(a12, a21) or max(a11, a22) < min(a12, a21)):
-        saddle = find_saddle(pm, attitude)
-        if saddle is None:
-            raise RuntimeError("internal consistency: a saddle-free 2x2 game is not strictly mixed")
+    saddle = find_saddle(pm, attitude)
+    if saddle is not None:
         return _saddle_solution(pm, saddle)
     x, y, center = _closed_form(pm.scaled_centers, pm.center_scale)
 
@@ -558,10 +554,9 @@ def enumerate_subgames(
     For a 2xn game the minimizing column player keeps the pair with the
     least value center; for an mx2 game the maximizing row player keeps the
     greatest.  Ties fall to the smaller value spread, then to the
-    lexicographically first pair.
+    lexicographically first pair.  The settings are checked by the first
+    :func:`solve_2x2` call.
     """
-    refuse_non_member("convention", convention, SpreadConvention)
-    refuse_non_member("attitude", attitude, Attitude)
     if pm.rows == 2 and pm.cols >= 3:
         axis, size, prefer = Axis.COL, pm.cols, prefer_min
     elif pm.cols == 2 and pm.rows >= 3:
@@ -778,13 +773,9 @@ def _certified(
 
 
 def _expected(pm: PayoffMatrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    # The entries' spreads averaged under (x, y), each term p*q*v added as
-    # integers to one numerator over one denominator.
-    cols = [ratio(q) for q in y]
-    num, den = 0, 1
-    for (pn, pd), line in zip(map(ratio, x), pm.entries):
-        for (qn, qd), entry in zip(cols, line):
-            vn, vd = ratio(entry.spread)
-            td = pd * qd * vd
-            num, den = num * td + pn * qn * vn * den, den * td
-    return Fraction(num, den)
+    # The entries' spreads averaged under (x, y): x, y and the spreads each on
+    # one denominator, so the sum is one integer numerator over their product.
+    (xn, xd), (yn, yd) = on_denominator(x), on_denominator(y)
+    spreads, sd = on_denominator([e.spread for row in pm.entries for e in row])
+    weights = [p * q for p in xn for q in yn]  # row-major, as the spreads
+    return Fraction(sum(map(operator.mul, weights, spreads)), xd * yd * sd)

@@ -566,6 +566,16 @@ class TestInputErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["validate"], ["solve"], ["solve", "--format", "machine"]],
+                             ids=["validate", "solve-table", "solve-machine"])
+    def test_unwritable_label_exits_1(self, write_game, argv):
+        # A lone surrogate is valid JSON (an escape), but no UTF-8 output can print it.
+        game = write_game('{"entries": [[[1, 0.1], [2, 0.1]]], "rows": ["\\ud800"]}')
+        proc = run_cli(argv[0], game, *argv[1:])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: row label '\\ud800' cannot be written as UTF-8\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["solve", "reduce", "check"])
     def test_nan_threshold_exits_1(self, write_game, simulation_3x4, capsys, command):
         code = main([command, write_game(simulation_3x4), "--threshold", "nan"])

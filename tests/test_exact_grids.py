@@ -142,7 +142,7 @@ def test_solve_2x2_matches_fraction_reference(pm, convention, attitude):
 
 def test_saddle_exactly_when_the_closed_form_is_not_strictly_mixed(monkeypatch):
     # Every 2x2 game with centers in -2..2, ties included; solve_2x2 relies on
-    # it, and runs the closed form only for a strict mix.
+    # it: find_saddle decides once, and the closed form runs only for a strict mix.
     closed_form = solver._closed_form
     saddles, forms = [], []
     monkeypatch.setattr(solver, "find_saddle", lambda *a: saddles.append(a) or find_saddle(*a))
@@ -156,7 +156,33 @@ def test_saddle_exactly_when_the_closed_form_is_not_strictly_mixed(monkeypatch):
         forms.clear()
         kind = solve_2x2(pm).kind
         assert (kind is SolutionKind.MIXED_2X2, len(saddles), len(forms)) == (
-            mixed, int(not mixed), int(mixed)), cells
+            mixed, 1, int(mixed)), cells
+
+
+# Few values, so that ties are common: -0.0 ties 0, 1.0 ties 1, and the
+# float tenths lie next to the exact ones.
+TIED_CENTERS = (-1, 0, -0.0, 5e-324, 0.1, 0.2, 0.3, 1, 1.0, 2.5,
+                Fraction(1, 10), Fraction(1, 3), Fraction(-3, 2))
+tied_cells = st.builds(FuzzyNum, st.sampled_from(TIED_CENTERS), st.sampled_from((0, 0.1, Fraction(1, 3))))
+tied_games = st.lists(st.lists(tied_cells, min_size=2, max_size=2), min_size=2, max_size=2).map(
+    PayoffMatrix.of
+)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(tied_games, st.sampled_from(SpreadConvention), st.sampled_from(Attitude))
+@example(PayoffMatrix.of([[(0, 0), (-0.0, 0.1)], [(5e-324, 0), (0, 0)]]),
+         SpreadConvention.EXPECTED, Attitude.PESSIMISTIC)
+@example(PayoffMatrix.of([[(0.1, 0), (Fraction(1, 10), 0)], [(Fraction(1, 10), 0.1), (0.1, 0)]]),
+         SpreadConvention.ENDPOINT, Attitude.OPTIMISTIC)
+def test_saddle_exactly_when_not_strictly_mixed_on_any_numbers(pm, convention, attitude):
+    # The fact solve_2x2 rests on, beyond small ints: no pure saddle exactly
+    # when the closed form is strictly mixed, and its answer is optimal.
+    solved = solver._closed_form(pm.scaled_centers, pm.center_scale)
+    mixed = solved is not None and all(0 < p < 1 for p in (*solved[0], *solved[1]))
+    assert (find_saddle(pm, attitude) is None) == mixed
+    sol = solve_2x2(pm, convention, attitude)
+    assert solver._certified(pm, (0, 1), sol.x, (0, 1), sol.y, sol.value.center)
 
 
 @SETTINGS

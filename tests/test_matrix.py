@@ -69,6 +69,12 @@ class TestParse:
         with pytest.raises(DuplicateLabelsError):
             parse_matrix('{"rows": ["A", "A"], "entries": [[[1, 0]], [[2, 0]]]}')
 
+    def test_lone_surrogate_label(self):
+        # Valid JSON (an escape), but no label: it cannot be written as UTF-8.
+        with pytest.raises(MatrixError) as info:
+            parse_matrix('{"rows": ["\\ud800"], "entries": [[[1, 0.1], [2, 0.1]]]}')
+        assert str(info.value) == "row label '\\ud800' cannot be written as UTF-8"
+
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrixError):
             parse_matrix('{"entries": []}')
@@ -160,11 +166,12 @@ class TestSerialize:
     def test_round_trip_simulation(self, simulation_3x4):
         assert parse_matrix(serialize_matrix(simulation_3x4)) == simulation_3x4
 
-    def test_round_trip_preserves_labels(self):
-        pm = PayoffMatrix.of([[(1, 0.5)]], row_labels=["only"], col_labels=["choice"])
+    @pytest.mark.parametrize("row, col", [("only", "choice"), ("\u00e9", "\U0001f600")])
+    def test_round_trip_preserves_labels(self, row, col):
+        pm = PayoffMatrix.of([[(1, 0.5)]], row_labels=[row], col_labels=[col])
         again = parse_matrix(serialize_matrix(pm))
-        assert again.row_labels == ("only",)
-        assert again.col_labels == ("choice",)
+        assert again.row_labels == (row,)
+        assert again.col_labels == (col,)
 
     def test_serialize_is_canonical_fixpoint(self, simulation_3x4):
         text = serialize_matrix(simulation_3x4)
@@ -284,6 +291,13 @@ class TestConstruction:
             (("A1", "A2"), ("B1", "B2"), MatrixError, "2 row labels for 1 rows"),
             (("A1",), ("B1",), MatrixError, "1 column labels for 2 columns"),
             (("A1",), ("B", "B"), DuplicateLabelsError, "duplicate column labels: ('B', 'B')"),
+            ((1,), ("B1", "B2"), MatrixError, "row label 1 is not a string"),
+            (("A1",), ("B1", None), MatrixError, "column label None is not a string"),
+            (("A1",), (b"B1", "B2"), MatrixError, "column label b'B1' is not a string"),
+            (([1],), ("B1", "B2"), MatrixError, "row label [1] is not a string"),  # unhashable
+            (("\ud800",), ("B1", "B2"), MatrixError, "row label '\\ud800' cannot be written as UTF-8"),
+            (("A1",), ("\u00e9", "x\udfff"), MatrixError,
+             "column label 'x\\udfff' cannot be written as UTF-8"),
         ],
     )
     def test_direct_construction_checks_labels(self, rows, cols, error, message):
@@ -291,6 +305,15 @@ class TestConstruction:
         with pytest.raises(error) as info:
             PayoffMatrix(entries, rows, cols)
         assert str(info.value) == message
+
+    def test_of_refuses_int_labels(self):
+        # They used to pass, and fail later: in the sub-game label of a solve,
+        # or as a document parse_matrix refuses.
+        with pytest.raises(MatrixError, match="^column label 1 is not a string$"):
+            PayoffMatrix.of([[(19, 0.2), (15, 0.4), (16, 0.1)], [(0, 0.2), (20, 0.4), (5, 0.4)]],
+                            col_labels=[1, 2, 3])
+        with pytest.raises(MatrixError, match="^row label 1 is not a string$"):
+            PayoffMatrix.of([[(1, 0.5)], [(2, 0.5)]], row_labels=[1, 2])
 
     def test_valid_matrix_never_raises(self):
         rng = random.Random(7)
