@@ -167,7 +167,7 @@ class PayoffMatrix:
         return cut
 
     def centers(self) -> tuple[tuple[float, ...], ...]:
-        return tuple([tuple([e.center for e in row]) for row in self.entries])
+        return tuple(tuple(e.center for e in row) for row in self.entries)
 
     @cached_property
     def center_scale(self) -> int:
@@ -191,8 +191,6 @@ class PayoffMatrix:
 
 def _check_labels(axis: str, labels: tuple) -> None:
     """Refuse a label that is not a ``str`` or cannot be written as UTF-8 (a lone surrogate)."""
-    if all(type(label) is str for label in labels) and "".join(labels).isascii():
-        return  # the default labels, and most others
     for label in labels:
         if not isinstance(label, str):
             raise MatrixError(f"{axis} label {label!r} is not a string")

@@ -248,7 +248,7 @@ def find_saddle(
     """
     refuse_non_member("attitude", attitude, Attitude)
     centers = pm.centers()
-    row_min = tuple(map(min, centers))
+    row_min = tuple(min(row) for row in centers)
     col_max = tuple(map(max, zip(*centers)))
     if max(row_min) != min(col_max):
         return None

@@ -28,6 +28,7 @@ from fuzzygame import (
     PayoffMatrix,
     PipelineConfig,
     SelectionError,
+    ShapeError,
     SolutionKind,
     SpreadConvention,
     StepKind,
@@ -479,6 +480,25 @@ class TestSettings:
         with pytest.raises(ValueError) as info:
             function(*args, **{field: value})
         assert str(info.value) == f"{field} must be {MEMBERS[field]}, got {value!r}"
+
+    @pytest.mark.parametrize("function, game, field, error, message", [
+        (solve_2x2, MIXED_2X3, "convention", ValueError,
+         f"convention must be {MEMBERS['convention']}, got 'pessimistic'"),
+        (solve_2x2, MIXED_2X3, "attitude", ShapeError, "solve_2x2 needs a 2x2 matrix, got 2x3"),
+        *[(enumerate_subgames, MIXED_2X2, field, ShapeError,
+           "sub-game enumeration needs a 2xn (n >= 3) or mx2 (m >= 3) matrix, got 2x2")
+          for field in MEMBERS],
+    ], ids=lambda case: getattr(case, "__name__", None))
+    def test_the_shape_is_checked_before_a_setting_left_to_a_callee(
+        self, function, game, field, error, message
+    ):
+        # solve_2x2 checks the convention, then the shape, and its find_saddle
+        # the attitude; enumerate_subgames checks the shape and leaves both
+        # settings to solve_2x2.
+        with pytest.raises(ValueError) as info:
+            function(game, **{field: "pessimistic"})
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestFuzzyNum:
