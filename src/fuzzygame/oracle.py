@@ -18,9 +18,16 @@ columns of a scaled identity.  A pivot swaps the entering variable's column
 for the leaving variable's, whose new entries follow from the pivot row and
 the leaving row's own diagonal entry.  Every answer is certified on the same
 grid against every pure counter-strategy before it is returned.
-:func:`center_value` reads a payoff matrix's centers onto that grid itself
-and solves for the value alone, for :func:`oracle_check` and for ``check``.
-Games larger than ``SIZE_CAP`` in either dimension are refused.
+
+:func:`oracle_check` decides by a certificate first: by weak duality, a
+solution whose own strategies are probability vectors, with x earning at
+least its value center v against every column and y conceding at most v to
+every row, proves that v is the game's value, and no simplex runs.  The
+simplex runs only when that certificate fails, or through
+:func:`center_value`, which reads a payoff matrix's centers onto the grid and
+solves for the value alone, for a game ``check`` cannot reduce.  Games larger
+than ``SIZE_CAP`` in either dimension are refused before any cell is read,
+even where the certificate would need no simplex.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ if TYPE_CHECKING:  # annotation only: the oracle never runs solver code
 # 32x32, on a 2-core Xeon with Python 3.11 (three seeded games each): 0.03-0.04 s on integer
 # centers; 0.06-0.11 s on exact tenths (Fraction(k, 10)); 0.5-0.7 s on binary-float tenths,
 # which is what JSON gives; 0.7-0.9 s mixed.  Big-integer arithmetic dominates at this size.
+# Those times are the simplex's, which runs only for a game the pipeline cannot reduce or an
+# answer whose certificate fails; the cap is checked up front all the same, before ``check`` solves.
 SIZE_CAP = 32
 
 
@@ -244,6 +253,12 @@ def _floor_ceiling(
     return min(payoffs), max(sum(map(operator.mul, row, y)) for row in ints)
 
 
+def _grid_value(ints: tuple[tuple[int, ...], ...], scale: int) -> Fraction:
+    """The exact value of the game ``ints / scale``, solved for alone."""
+    d, total, shift, _, _ = _simplex(ints, scale)
+    return Fraction(d, total) - shift
+
+
 def center_value(pm: PayoffMatrix) -> tuple[Fraction, tuple[tuple[int, ...], ...], int]:
     """``(value, ints, scale)``: the exact value of ``pm``'s center game, solved for alone.
 
@@ -251,8 +266,7 @@ def center_value(pm: PayoffMatrix) -> tuple[Fraction, tuple[tuple[int, ...], ...
     """
     check_size(pm.rows, pm.cols)
     ints, scale = _on_grid(pm.centers())
-    d, total, shift, _, _ = _simplex(ints, scale)
-    return Fraction(d, total) - shift, ints, scale
+    return _grid_value(ints, scale), ints, scale
 
 
 @dataclass(frozen=True)
@@ -278,24 +292,35 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
     The solution's x must earn at least the oracle value against every
     column of the original matrix, and its y must concede at most the oracle
     value against every row.  Its numbers may be ints, floats or ``Fraction``s;
-    all are read exactly, so all three tests demand exact agreement.  A
-    strategy whose length is not the matrix's row or column count is refused
-    with ``ValueError``.
+    all are read exactly, so all three tests demand exact agreement.  A game
+    above ``SIZE_CAP`` is refused with :class:`GameTooLargeError` before any
+    cell is read, then a strategy whose length is not the matrix's row or
+    column count with ``ValueError``.
 
-    The value is :func:`center_value`'s, and the guarantees are read on its grid.
+    The solution's own strategies decide first, by weak duality: when x and
+    y are probability vectors and x's worst column payoff is at least the
+    solution's value center v while y's best row payoff is at most v, the
+    game's value lies between the two, so it is v, and no linear program
+    runs.  Otherwise the value is solved for on the same integer grid, as in
+    :func:`center_value`, so a wrong answer is reported beside the true value.
     """
-    check_size(pm.rows, pm.cols)  # the size refusal comes first, the length refusal before the LP
+    check_size(pm.rows, pm.cols)  # the size refusal comes first, the length refusal before any cell
     if len(solution.x) != pm.rows or len(solution.y) != pm.cols:
         raise ValueError(
             f"solution strategies have {len(solution.x)} and {len(solution.y)} entries;"
             f" the matrix is {pm.rows}x{pm.cols}"
         )
-    oracle_center, ints, scale = center_value(pm)
+    ints, scale = _on_grid(pm.centers())
     (x,), x_scale = _on_grid((solution.x,))
     (y,), y_scale = _on_grid((solution.y,))
     floor, ceiling = _floor_ceiling(ints, x, y)
     x_floor, y_ceiling = Fraction(floor, x_scale * scale), Fraction(ceiling, y_scale * scale)
     solution_center = Fraction(*solution.value.center.as_integer_ratio())
+    certified = (
+        min(x) >= 0 and min(y) >= 0 and sum(x) == x_scale and sum(y) == y_scale
+        and x_floor >= solution_center >= y_ceiling
+    )
+    oracle_center = solution_center if certified else _grid_value(ints, scale)
     return OracleReport(
         oracle_center=oracle_center,
         solution_center=solution_center,

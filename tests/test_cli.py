@@ -365,7 +365,50 @@ class TestValidate:
         assert "entries[1][2]" in captured.err
 
 
+# Every byte `fuzzygame check` prints on each sample game; each exits 0.
+CHECK_OUTPUT = {
+    "convex": (
+        "oracle value center:   5/3 = 1.6666666666666667\n"
+        "pipeline value center: 5/3 = 1.6666666666666667\n"
+        "value match:  ok\n"
+        "x guarantee:  ok (worst column payoff 5/3 = 1.6666666666666667)\n"
+        "y guarantee:  ok (best row payoff 5/3 = 1.6666666666666667)\n"
+    ),
+    "dominance": (
+        "oracle value center:   4 = 4.0\n"
+        "pipeline value center: 4 = 4.0\n"
+        "value match:  ok\n"
+        "x guarantee:  ok (worst column payoff 4 = 4.0)\n"
+        "y guarantee:  ok (best row payoff 4 = 4.0)\n"
+    ),
+    "irreducible": (
+        "pipeline: not reducible by the dominance method (no check performed)\n"
+        "oracle value center: 0 = 0.0\n"
+    ),
+    "saddle": (
+        "oracle value center:   16 = 16.0\n"
+        "pipeline value center: 16 = 16.0\n"
+        "value match:  ok\n"
+        "x guarantee:  ok (worst column payoff 16 = 16.0)\n"
+        "y guarantee:  ok (best row payoff 16 = 16.0)\n"
+    ),
+    "simulation": (
+        "oracle value center:   245/16 = 15.3125\n"
+        "pipeline value center: 245/16 = 15.3125\n"
+        "value match:  ok\n"
+        "x guarantee:  ok (worst column payoff 245/16 = 15.3125)\n"
+        "y guarantee:  ok (best row payoff 245/16 = 15.3125)\n"
+    ),
+}
+
+
 class TestCheck:
+    @pytest.mark.parametrize("sample", sorted(CHECK_OUTPUT))
+    def test_sample_games_print_these_bytes(self, capsys, sample):
+        assert sorted(CHECK_OUTPUT) == SAMPLES
+        argv = ["check", str(SAMPLE_DIR / f"{sample}.json")]
+        assert run_main(argv, capsys) == (0, CHECK_OUTPUT[sample], "")
+
     def test_simulation_passes(self, write_game, simulation_3x4, capsys):
         code = main(["check", write_game(simulation_3x4)])
         out = capsys.readouterr().out

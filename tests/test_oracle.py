@@ -4,6 +4,7 @@ import ast
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from fuzzygame import (
     CenterGame,
     FuzzyNum,
     GameTooLargeError,
+    NotReducibleError,
     PayoffMatrix,
     col_dominates,
     oracle_check,
@@ -19,11 +21,27 @@ from fuzzygame import (
     solve_pipeline,
     submatrix,
 )
+from fuzzygame import oracle as oracle_module
+from fuzzygame.oracle import OracleReport, center_value
 from fuzzygame.solver import Solution, SolutionKind
 
 
 def game(rows):
     return CenterGame.of(rows)
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """A list that gains one entry each time the oracle's simplex runs."""
+    calls = []
+    simplex = oracle_module._simplex
+
+    def counted(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(oracle_module, "_simplex", counted)
+    return calls
 
 
 class TestOracleValue:
@@ -155,7 +173,7 @@ class TestOracleCheck:
         assert report.passed
         assert report.oracle_center == F(245, 16)
 
-    def test_printed_y_variant_fails_guarantee(self, simulation_3x4):
+    def test_printed_y_variant_fails_guarantee(self, simulation_3x4, simplex_calls):
         # A column mix of (0, 1/16, 0, 15/16) concedes 255/16 > 245/16 on row 2.
         good = solve_pipeline(simulation_3x4)
         bad = Solution(
@@ -170,8 +188,9 @@ class TestOracleCheck:
         assert report.y_ceiling == F(255, 16)
         assert report.value_match  # only the guarantee is broken
         assert not report.passed
+        assert len(simplex_calls) == 1  # the certificate failed, so the LP referees
 
-    def test_default_demands_exact_value(self, simulation_3x4):
+    def test_default_demands_exact_value(self, simulation_3x4, simplex_calls):
         # Off by 1e-12: the former default tolerance of 1e-9 passed this.
         good = solve_pipeline(simulation_3x4)
         off = Solution(
@@ -180,6 +199,40 @@ class TestOracleCheck:
         )
         report = oracle_check(simulation_3x4, off)
         assert not report.value_match and not report.passed
+        assert len(simplex_calls) == 1
+
+    def test_a_certified_answer_runs_no_simplex(
+        self, simulation_3x4, saddle_2x2, planted_game, simplex_calls
+    ):
+        for pm in (simulation_3x4, saddle_2x2, planted_game(12, 12, 12)):
+            assert oracle_check(pm, solve_pipeline(pm)).passed
+        assert simplex_calls == []
+
+    @pytest.mark.parametrize("rows, x, y, center", [
+        (((1, 1), (1, 1)), (2, 0), (1, 0), 2),  # x sums to 2
+        (((0, 0), (1, 1)), (-1, 2), (1, 0), 2),  # x has a negative weight
+        (((1, 1), (1, 1)), (1, 0), (F(1, 2), 0), F(1, 2)),  # y sums to 1/2
+        (((1, 2), (1, 2)), (1, 0), (2, -1), 0),  # y has a negative weight
+    ])
+    def test_a_bracket_of_improper_strategies_proves_nothing(self, simplex_calls, rows, x, y, center):
+        # Each pair brackets the wrong center (floor >= center >= ceiling), but the
+        # bracket is a proof only for probability vectors; every game's value is 1.
+        pm = PayoffMatrix.of([[(c, 0.1) for c in row] for row in rows])
+        report = oracle_check(pm, SimpleNamespace(x=x, y=y, value=FuzzyNum(center, 0.1)))
+        assert report.x_floor >= center >= report.y_ceiling
+        assert (report.oracle_center, report.value_match) == (1, False)
+        assert len(simplex_calls) == 1
+
+    def test_a_float_mix_is_summed_exactly(self, simplex_calls):
+        # Solution accepts (0.1, 0.9): its float sum is 1.0, its exact sum 1 + 2**-55,
+        # so on the all-ones game x's floor is 1 + 2**-55 and brackets that center.
+        pm = PayoffMatrix.of([[(1, 0.1), (1, 0.1)], [(1, 0.1), (1, 0.1)]])
+        center = 1 + F(1, 2**55)
+        sol = Solution((0.1, 0.9), (1, 0), FuzzyNum(center, 0.1), SolutionKind.MIXED_2X2, ())
+        report = oracle_check(pm, sol)
+        assert report.x_floor == center
+        assert (report.oracle_center, report.value_match) == (1, False)
+        assert len(simplex_calls) == 1
 
     def test_saddle_game_passes(self, saddle_2x2):
         report = oracle_check(saddle_2x2, solve_pipeline(saddle_2x2))
@@ -261,8 +314,59 @@ class TestSolverAgainstOracleBeyondEight:
                 pm = planted_game(m * 100 + n, m, n)
                 sol = solve_pipeline(pm)
                 assert sol.kind is SolutionKind.MIXED_2X2
-                assert oracle_check(pm, sol).passed
+                report = oracle_check(pm, sol)
+                assert report.passed
+                assert report.oracle_center == center_value(pm)[0]
 
+
+def _lp_first_report(pm, solution):
+    # The report of a check that runs the simplex first: the LP value, and the
+    # floor and ceiling summed in Fractions from the cells.
+    oracle_center = center_value(pm)[0]
+    centers = [[F(c) for c in row] for row in pm.centers()]
+    x, y = [F(p) for p in solution.x], [F(q) for q in solution.y]
+    x_floor = min(sum(p * row[j] for p, row in zip(x, centers)) for j in range(pm.cols))
+    y_ceiling = max(sum(c * q for c, q in zip(row, y)) for row in centers)
+    solution_center = F(solution.value.center)
+    return OracleReport(
+        oracle_center, solution_center, x_floor, y_ceiling,
+        solution_center == oracle_center, x_floor >= oracle_center, y_ceiling <= oracle_center,
+    )
+
+
+def test_certificate_reports_what_the_lp_first_check_reported(planted_game):
+    # Planted 7x7 to 16x16 and random 2x2 to 8x8 games, each with integer,
+    # binary-float tenth and Fraction centers; each solved game is checked with
+    # its own answer (certified) and with its value center off by 1/7 (the LP).
+    rng = random.Random(30)
+    recenter = (int, lambda c: c / 10, lambda c: F(c, 7))
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.randint(-90, 90) / 10,
+        lambda: F(rng.randint(-30, 30), rng.choice((1, 3, 7))),
+    )
+    solved = [0, 0]
+    for k in range(330):
+        kind = k % 3
+        if k % 2:
+            m, n = rng.randint(7, 16), rng.randint(7, 16)
+            planted = planted_game(k, m, n)
+            pm = PayoffMatrix.of(
+                [[(recenter[kind](e.center), e.spread) for e in row] for row in planted.entries]
+            )
+        else:
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            pm = PayoffMatrix.of([[(draws[kind](), 0.25) for _ in range(n)] for _ in range(m)])
+        try:
+            sol = solve_pipeline(pm)
+        except NotReducibleError:
+            continue
+        off = SimpleNamespace(x=sol.x, y=sol.y, value=FuzzyNum(F(sol.value.center) + F(1, 7), 0))
+        report = oracle_check(pm, sol)
+        assert report == _lp_first_report(pm, sol) and report.passed
+        assert oracle_check(pm, off) == _lp_first_report(pm, off)
+        solved[k % 2] += 1
+    assert solved[1] == 165 and solved[0] >= 50 and sum(solved) >= 200
 
 
 def _runtime_solver_imports(source):

@@ -1,9 +1,13 @@
 """The solver against the exact oracle on Hypothesis-drawn games up to 12x12.
 
 A solved game must pass :func:`oracle_check`: the same value center, and
-both strategies guaranteeing it.  Every game, solved or not, must keep its
+both strategies guaranteeing it.  Its value center must also equal the
+simplex's value, which :func:`oracle_check` does not compute when the
+strategies prove the value center.  Every game, solved or not, must keep its
 oracle value after each deletion of its trace, replayed with ``submatrix``.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -55,14 +59,16 @@ def _value(pm):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(games(), configs)
 def test_solution_and_every_deletion_agree_with_oracle(pm, config):
+    value = _value(pm)
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError as exc:
         trace = exc.trace
     else:
         assert oracle_check(pm, solution).passed
+        # oracle_check proves this value without the simplex; the simplex referees here.
+        assert Fraction(solution.value.center) == value
         trace = solution.trace
-    value = _value(pm)
     kept = {Axis.ROW: set(range(pm.rows)), Axis.COL: set(range(pm.cols))}
     for step in trace:
         if step.deleted is not None:
