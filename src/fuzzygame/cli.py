@@ -308,7 +308,7 @@ def cmd_check(args: argparse.Namespace, pm: PayoffMatrix, config: PipelineConfig
     try:
         solution = solve_pipeline(pm, config)
     except NotReducibleError:
-        value, _, _ = center_value(pm)
+        value = center_value(pm)
         print("pipeline: not reducible by the dominance method (no check performed)")
         print(f"oracle value center: {_exact_str(value)}")
         return EXIT_OK

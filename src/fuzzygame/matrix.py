@@ -226,17 +226,18 @@ def parse_matrix(text: str) -> PayoffMatrix:
 
     Each cell's numbers are judged by :class:`FuzzyNum` alone; its refusal
     is a :class:`NegativeSpreadError` when the spread is negative, else a
-    :class:`NonFiniteNumberError`.
+    :class:`NonFiniteNumberError`.  A key repeated within one object is
+    refused, not resolved silently in favour of its last value.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MatrixSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
         raise MatrixSyntaxError("document is nested too deeply to parse") from None
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or a repeated key
         raise MatrixSyntaxError(str(exc)) from None
 
     if not isinstance(doc, dict):
@@ -271,18 +272,30 @@ def parse_matrix(text: str) -> PayoffMatrix:
                 raise NonFiniteNumberError(f"{_where(i, j)}: {exc}") from None
         grid.append(tuple(cells))
 
-    row_labels = _parse_labels(doc.get("rows"), len(grid), "rows")
-    col_labels = _parse_labels(doc.get("cols"), len(grid[0]) if grid else 0, "cols")
+    row_labels = _parse_labels(doc, "rows", len(grid))
+    col_labels = _parse_labels(doc, "cols", len(grid[0]) if grid else 0)
     return _labelled(PayoffMatrix, grid, row_labels, col_labels)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``; a key that occurs twice is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MatrixSyntaxError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
 
 
 def _where(i: int, j: int) -> str:
     return f"entries[{i + 1}][{j + 1}]"
 
 
-def _parse_labels(raw: object, expected: int, key: str) -> tuple[str, ...] | None:
-    if raw is None:
+def _parse_labels(doc: dict, key: str, expected: int) -> tuple[str, ...] | None:
+    """The labels under ``key``, or ``None`` when the key is absent; a present ``null`` is refused."""
+    if key not in doc:
         return None
+    raw = doc[key]
     if not isinstance(raw, list) or any(not isinstance(s, str) for s in raw):
         raise MatrixSyntaxError(f"'{key}' must be an array of strings")
     if len(raw) != expected:

@@ -16,18 +16,17 @@ is read off.  The tableau is condensed (von Stengel 2002): it keeps only the
 nonbasic columns and the right-hand side, since the basic columns are
 columns of a scaled identity.  A pivot swaps the entering variable's column
 for the leaving variable's, whose new entries follow from the pivot row and
-the leaving row's own diagonal entry.  Every answer is certified on the same
-grid against every pure counter-strategy before it is returned.
+the leaving row's own diagonal entry.
 
-:func:`oracle_check` decides by a certificate first: by weak duality, a
-solution whose own strategies are probability vectors, with x earning at
-least its value center v against every column and y conceding at most v to
-every row, proves that v is the game's value, and no simplex runs.  The
-simplex runs only when that certificate fails, or through
-:func:`center_value`, which reads a payoff matrix's centers onto the grid and
-solves for the value alone, for a game ``check`` cannot reduce.  Games larger
-than ``SIZE_CAP`` in either dimension are refused before any cell is read,
-even where the certificate would need no simplex.
+The module solves one way and proves one way.  :func:`oracle_value`,
+:func:`center_value` (the value alone, from a payoff matrix's centers) and
+:func:`oracle_check` read the exact value from the one simplex.  One
+weak-duality test proves a value v: x and y are probability vectors, x earns
+at least v against every column and y concedes at most v to every row.  The
+simplex proves its own answer by it, and :func:`oracle_check` proves the
+solution's value center by it first, running the simplex only when that
+fails.  Games larger than ``SIZE_CAP`` in either dimension are refused
+before any cell is read, even where the proof would need no simplex.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .matrix import PayoffMatrix
@@ -63,6 +61,10 @@ def check_size(rows: int, cols: int) -> None:
 
 
 def _exact(cell: object) -> Fraction:
+    if type(cell) is Fraction:
+        return cell
+    if type(cell) not in (int, float):  # an exact type test, so bool and str are refused
+        raise ValueError(f"center game cell {cell!r} is not an int, float or Fraction")
     try:
         return Fraction(cell)
     except (OverflowError, ValueError):  # ±inf overflow, NaN is a ValueError
@@ -81,7 +83,8 @@ class CenterGame:
     """Crisp m x n game: the centers of a fuzzy payoff matrix.
 
     Cells may be given as ints, floats or ``Fraction``s; each is kept as the
-    exact ``Fraction`` of its value.  NaN and infinities raise ``ValueError``.
+    exact ``Fraction`` of its value.  NaN, infinities and a cell of any other
+    type (``bool`` and ``str`` included) raise ``ValueError``.
     """
 
     grid: tuple[tuple[Fraction, ...], ...]
@@ -92,10 +95,7 @@ class CenterGame:
         n = len(self.grid[0])
         if any(len(row) != n for row in self.grid):
             raise ValueError("center game must be rectangular")
-        exact = tuple(
-            tuple(v if type(v) is Fraction else _exact(v) for v in row) for row in self.grid
-        )
-        object.__setattr__(self, "grid", exact)
+        object.__setattr__(self, "grid", tuple(tuple(map(_exact, row)) for row in self.grid))
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[float]]) -> "CenterGame":
@@ -112,10 +112,6 @@ class CenterGame:
     @property
     def cols(self) -> int:
         return len(self.grid[0])
-
-    @cached_property
-    def _integer_grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        return _on_grid(self.grid)
 
 
 @dataclass(frozen=True)
@@ -163,18 +159,16 @@ def oracle_value(game: CenterGame) -> OracleSolution:
     kernel enumeration, would pick.
     """
     check_size(game.rows, game.cols)
-    d, total, shift, x, y = _simplex(*game._integer_grid)
+    value, total, x, y = _simplex(*_on_grid(game.grid))
     return OracleSolution(
-        Fraction(d, total) - shift,
-        tuple(Fraction(v, total) for v in x),
-        tuple(Fraction(v, total) for v in y),
+        value, tuple(Fraction(v, total) for v in x), tuple(Fraction(v, total) for v in y)
     )
 
 
 def _simplex(
     ints: tuple[tuple[int, ...], ...], scale: int
-) -> tuple[int, int, int, list[int], list[int]]:
-    """``(d, total, shift, x, y)``: the value is ``d/total - shift``, the mixes ``x/total``, ``y/total``.
+) -> tuple[Fraction, int, list[int], list[int]]:
+    """``(value, total, x, y)``: the game's exact value and the mixes ``x/total``, ``y/total``.
 
     ``ints`` is the game times ``scale``; see :func:`oracle_value` for the method.
     """
@@ -230,43 +224,40 @@ def _simplex(
     for row, var in zip(tableau, basis):
         if var < n:
             y[var] = row[-1]
-    # value = d/total - shift, so a mix guarantees it exactly when its weighted
-    # payoffs on the grid clear scale*(d - shift*total).
-    bound = scale * (d - shift * total)
-    floor, ceiling = _floor_ceiling(ints, x, y)
-    if not (
-        total > 0 and sum(x) == total == sum(y) and min(x) >= 0 and min(y) >= 0
-        and floor >= bound >= ceiling
-    ):
-        raise RuntimeError("simplex optimum failed exact certification")
-    return d, total, shift, x, y
+    if total > 0:
+        value = Fraction(d, total) - shift
+        if _duality(ints, scale, x, total, y, total, value)[2]:
+            return value, total, x, y
+    raise RuntimeError("simplex optimum failed exact certification")
 
 
-def _floor_ceiling(
-    ints: tuple[tuple[int, ...], ...], x: Sequence[int], y: Sequence[int]
-) -> tuple[int, int]:
-    """The worst column payoff under weights ``x`` and the best row payoff under ``y``."""
+def _duality(
+    ints: tuple[tuple[int, ...], ...], scale: int,
+    x: Sequence[int], x_den: int, y: Sequence[int], y_den: int, value: Fraction,
+) -> tuple[Fraction, Fraction, bool]:
+    """``(floor, ceiling, proven)`` for the mixes ``x/x_den`` and ``y/y_den`` of the game ``ints/scale``.
+
+    ``floor`` is the worst column payoff under x and ``ceiling`` the best row
+    payoff under y.  ``proven`` holds when x and y are probability vectors and
+    ``floor >= value >= ceiling``: then, by weak duality, ``value`` is the game's value.
+    """
     payoffs = [0] * len(ints[0])
     for w, row in zip(x, ints):
         if w:
             payoffs = [a + w * v for a, v in zip(payoffs, row)]
-    return min(payoffs), max(sum(map(operator.mul, row, y)) for row in ints)
+    floor = Fraction(min(payoffs), x_den * scale)
+    ceiling = Fraction(max(sum(map(operator.mul, row, y)) for row in ints), y_den * scale)
+    proven = (
+        min(x) >= 0 and min(y) >= 0 and sum(x) == x_den and sum(y) == y_den
+        and floor >= value >= ceiling
+    )
+    return floor, ceiling, proven
 
 
-def _grid_value(ints: tuple[tuple[int, ...], ...], scale: int) -> Fraction:
-    """The exact value of the game ``ints / scale``, solved for alone."""
-    d, total, shift, _, _ = _simplex(ints, scale)
-    return Fraction(d, total) - shift
-
-
-def center_value(pm: PayoffMatrix) -> tuple[Fraction, tuple[tuple[int, ...], ...], int]:
-    """``(value, ints, scale)``: the exact value of ``pm``'s center game, solved for alone.
-
-    ``ints`` is the centers times ``scale``; no :class:`CenterGame` or strategy is built.
-    """
+def center_value(pm: PayoffMatrix) -> Fraction:
+    """The exact value of ``pm``'s center game, solved for alone: no :class:`CenterGame` is built."""
     check_size(pm.rows, pm.cols)
-    ints, scale = _on_grid(pm.centers())
-    return _grid_value(ints, scale), ints, scale
+    return _simplex(*_on_grid(pm.centers()))[0]
 
 
 @dataclass(frozen=True)
@@ -301,8 +292,9 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
     y are probability vectors and x's worst column payoff is at least the
     solution's value center v while y's best row payoff is at most v, the
     game's value lies between the two, so it is v, and no linear program
-    runs.  Otherwise the value is solved for on the same integer grid, as in
-    :func:`center_value`, so a wrong answer is reported beside the true value.
+    runs.  That is the test the simplex passes its own answer through.
+    Otherwise the simplex solves the game on the grid already read, so a
+    wrong answer is reported beside the true value.
     """
     check_size(pm.rows, pm.cols)  # the size refusal comes first, the length refusal before any cell
     if len(solution.x) != pm.rows or len(solution.y) != pm.cols:
@@ -311,16 +303,11 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
             f" the matrix is {pm.rows}x{pm.cols}"
         )
     ints, scale = _on_grid(pm.centers())
-    (x,), x_scale = _on_grid((solution.x,))
-    (y,), y_scale = _on_grid((solution.y,))
-    floor, ceiling = _floor_ceiling(ints, x, y)
-    x_floor, y_ceiling = Fraction(floor, x_scale * scale), Fraction(ceiling, y_scale * scale)
+    (x,), x_den = _on_grid((solution.x,))
+    (y,), y_den = _on_grid((solution.y,))
     solution_center = Fraction(*solution.value.center.as_integer_ratio())
-    certified = (
-        min(x) >= 0 and min(y) >= 0 and sum(x) == x_scale and sum(y) == y_scale
-        and x_floor >= solution_center >= y_ceiling
-    )
-    oracle_center = solution_center if certified else _grid_value(ints, scale)
+    x_floor, y_ceiling, certified = _duality(ints, scale, x, x_den, y, y_den, solution_center)
+    oracle_center = solution_center if certified else _simplex(ints, scale)[0]
     return OracleReport(
         oracle_center=oracle_center,
         solution_center=solution_center,

@@ -69,6 +69,12 @@ class TestSolve:
         assert code == 1
         assert "error" in captured.err
 
+    def test_repeated_key_exits_1(self, write_game, capsys):
+        code = main(["solve", write_game('{"entries": [[[1, 0]]], "entries": [[[2, 0]]]}')])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (captured.out, captured.err) == ("", "error: key 'entries' is repeated\n")
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["solve", "/nonexistent/game.json"]) == 1
 

@@ -142,6 +142,33 @@ class TestParse:
         with pytest.raises(MatrixSyntaxError, match="unknown"):
             parse_matrix('{"entries": [[[1, 0]]], "extra": 1}')
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            pytest.param('{"entries": [[[1, 0]]], "entries": [[[2, 0]]]}', "entries", id="entries"),
+            pytest.param('{"cols": ["a"], "entries": [[[1, 0]]], "cols": ["b"]}', "cols", id="cols"),
+            pytest.param('{"rows": ["a"], "rows": ["a"], "entries": [[[1, 0]]]}', "rows",
+                         id="rows-same-value"),
+            pytest.param('{"entries": [[{"c": 1, "c": 2}]]}', "c", id="inside-a-cell"),
+        ],
+    )
+    def test_repeated_key_is_refused(self, text, key):
+        # json.loads alone keeps the last value: the first case would solve as <2, 0>.
+        with pytest.raises(MatrixSyntaxError) as info:
+            parse_matrix(text)
+        assert str(info.value) == f"key {key!r} is repeated"
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_null_label_list_is_refused(self, key):
+        # Only an absent list means the default labels; a present null is not a list.
+        with pytest.raises(MatrixSyntaxError) as info:
+            parse_matrix(f'{{"{key}": null, "entries": [[[1, 0]]]}}')
+        assert str(info.value) == f"'{key}' must be an array of strings"
+
+    def test_byte_order_mark_is_refused(self):
+        with pytest.raises(MatrixSyntaxError, match="line 1, column 1: Unexpected UTF-8 BOM"):
+            parse_matrix('\ufeff{"entries": [[[1, 0]]]}')
+
     def test_deep_nesting_is_a_matrix_error(self):
         # json.loads raises RecursionError on this; parse must not pass it on.
         with pytest.raises(MatrixSyntaxError, match="nested too deeply"):

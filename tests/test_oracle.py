@@ -2,6 +2,8 @@
 
 import ast
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from fuzzygame import (
     col_dominates,
     oracle_check,
     oracle_value,
+    parse_matrix,
     row_dominates,
     solve_pipeline,
     submatrix,
@@ -105,6 +108,15 @@ class TestCenterGameCells:
         with pytest.raises(ValueError, match="is not a finite number"):
             CenterGame.of([[cell]])
         with pytest.raises(ValueError, match="is not a finite number"):
+            CenterGame(((1, 2), (3, cell)))
+
+    @pytest.mark.parametrize("cell", ["1/2", " 3 ", "0.1", True, False, None, Decimal("0.1"), [1]])
+    def test_cells_that_are_not_numbers_are_refused(self, cell):
+        # Fraction() would read "1/2" as 1/2, " 3 " as 3, "0.1" as 1/10 and True as 1.
+        message = re.escape(f"center game cell {cell!r} is not an int, float or Fraction")
+        with pytest.raises(ValueError, match=message):
+            CenterGame.of([[1, cell]])
+        with pytest.raises(ValueError, match=message):
             CenterGame(((1, 2), (3, cell)))
 
 
@@ -316,13 +328,68 @@ class TestSolverAgainstOracleBeyondEight:
                 assert sol.kind is SolutionKind.MIXED_2X2
                 report = oracle_check(pm, sol)
                 assert report.passed
-                assert report.oracle_center == center_value(pm)[0]
+                assert report.oracle_center == center_value(pm)
+
+
+def _planted_3x3_core(rng, m, n):
+    # An m x n game padded, as in conftest's planted games, around a random 3x3 core
+    # with centers in [10, 20]: every padding line is strictly dominated.
+    core_rows, core_cols = rng.sample(range(m), 3), rng.sample(range(n), 3)
+    core = [[rng.randint(10, 20) for _ in range(3)] for _ in range(3)]
+
+    def center(i, j):
+        if i in core_rows and j in core_cols:
+            return core[core_rows.index(i)][core_cols.index(j)]
+        if i in core_rows:
+            return rng.randint(25, 30)
+        return rng.randint(0, 5) if j in core_cols else rng.randint(6, 9)
+
+    return PayoffMatrix.of(
+        [[(center(i, j), rng.randint(0, 50) / 100) for j in range(n)] for i in range(m)]
+    )
+
+
+class TestOneSolve:
+    def test_each_value_path_runs_the_simplex_once(self, simulation_3x4, simplex_calls):
+        oracle_value(CenterGame.from_payoff(simulation_3x4))
+        assert len(simplex_calls) == 1
+        center_value(simulation_3x4)
+        assert len(simplex_calls) == 2
+
+    def test_center_value_is_oracle_value_on_not_reducible_games(self):
+        sample = Path(__file__).resolve().parents[1] / "sample_games" / "irreducible.json"
+        games = [parse_matrix(sample.read_text())]
+        rng = random.Random(31)
+        while len(games) < 21:
+            pm = _planted_3x3_core(rng, rng.randint(7, 16), rng.randint(7, 16))
+            try:
+                solve_pipeline(pm)
+            except NotReducibleError:
+                games.append(pm)
+        values = [center_value(pm) for pm in games]
+        assert all(type(value) is F for value in values)
+        assert values == [oracle_value(CenterGame.from_payoff(pm)).value for pm in games]
+        assert values[0] == 0  # irreducible.json: 3 on the diagonal, -1 off it
+
+    @pytest.mark.parametrize("solve", [
+        pytest.param(lambda pm: oracle_value(CenterGame.from_payoff(pm)), id="oracle_value"),
+        pytest.param(center_value, id="center_value"),
+    ])
+    def test_simplex_raises_when_its_proof_fails(self, monkeypatch, simulation_3x4, solve):
+        duality = oracle_module._duality
+
+        def refuted(*args):
+            return (*duality(*args)[:2], False)
+
+        monkeypatch.setattr(oracle_module, "_duality", refuted)
+        with pytest.raises(RuntimeError, match="simplex optimum failed exact certification"):
+            solve(simulation_3x4)
 
 
 def _lp_first_report(pm, solution):
     # The report of a check that runs the simplex first: the LP value, and the
     # floor and ceiling summed in Fractions from the cells.
-    oracle_center = center_value(pm)[0]
+    oracle_center = center_value(pm)
     centers = [[F(c) for c in row] for row in pm.centers()]
     x, y = [F(p) for p in solution.x], [F(q) for q in solution.y]
     x_floor = min(sum(p * row[j] for p, row in zip(x, centers)) for j in range(pm.cols))
