@@ -149,9 +149,11 @@ def dominance_index(lo_peak: float, lo_spread: float, hi_peak: float, hi_spread:
     width = lo_spread + hi_spread
     gap = hi_peak - lo_peak
     if width != 0:
+        # An int or Fraction quotient beyond the float range overflows; a float
+        # gap over a Fraction width that floats to 0 divides by zero.
         try:
             di = float(gap / width)
-        except OverflowError:  # an int or Fraction quotient beyond the float range
+        except (OverflowError, ZeroDivisionError):
             di = math.nan
         if di - di == 0.0 and (di or hi_peak == lo_peak):
             return di

@@ -31,6 +31,7 @@ before any cell is read, even where the proof would need no simplex.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -60,15 +61,34 @@ def check_size(rows: int, cols: int) -> None:
         raise GameTooLargeError(f"{rows}x{cols} exceeds the {SIZE_CAP}x{SIZE_CAP} oracle cap")
 
 
+# The types a center game cell may have, tested exactly, so bool, str and Decimal are refused.
+_NUMBER_TYPES = frozenset((int, float, Fraction))
+
+
 def _exact(cell: object) -> Fraction:
+    if type(cell) not in _NUMBER_TYPES:
+        raise ValueError(f"center game cell {cell!r} is not an int, float or Fraction")
     if type(cell) is Fraction:
         return cell
-    if type(cell) not in (int, float):  # an exact type test, so bool and str are refused
-        raise ValueError(f"center game cell {cell!r} is not an int, float or Fraction")
     try:
         return Fraction(cell)
     except (OverflowError, ValueError):  # ±inf overflow, NaN is a ValueError
         raise ValueError(f"center game cell {cell!r} is not a finite number") from None
+
+
+def _centers(pm: PayoffMatrix) -> tuple[tuple[float, ...], ...]:
+    """The centers of ``pm``, each an int, float or ``Fraction``.
+
+    A cell of another type (``bool`` or ``Decimal``, which ``FuzzyNum``
+    accepts) is refused with the ``ValueError`` :class:`CenterGame` gives.
+    The test is one per game: the set of the cells' types, gathered without
+    a Python loop per cell.
+    """
+    centers = pm.centers()
+    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(centers))):
+        for cell in itertools.chain.from_iterable(centers):
+            _exact(cell)  # raises at the first cell of another type
+    return centers
 
 
 def _on_grid(rows: Sequence[Sequence[float]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -255,9 +275,12 @@ def _duality(
 
 
 def center_value(pm: PayoffMatrix) -> Fraction:
-    """The exact value of ``pm``'s center game, solved for alone: no :class:`CenterGame` is built."""
+    """The exact value of ``pm``'s center game, solved for alone: no :class:`CenterGame` is built.
+
+    A center that is not an int, float or ``Fraction`` is refused as :class:`CenterGame` refuses it.
+    """
     check_size(pm.rows, pm.cols)
-    return _simplex(*_on_grid(pm.centers()))[0]
+    return _simplex(*_on_grid(_centers(pm)))[0]
 
 
 @dataclass(frozen=True)
@@ -286,7 +309,8 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
     all are read exactly, so all three tests demand exact agreement.  A game
     above ``SIZE_CAP`` is refused with :class:`GameTooLargeError` before any
     cell is read, then a strategy whose length is not the matrix's row or
-    column count with ``ValueError``.
+    column count with ``ValueError``, then a center that is not an int, float
+    or ``Fraction``, as :class:`CenterGame` refuses it.
 
     The solution's own strategies decide first, by weak duality: when x and
     y are probability vectors and x's worst column payoff is at least the
@@ -302,7 +326,7 @@ def oracle_check(pm: PayoffMatrix, solution: Solution) -> OracleReport:
             f"solution strategies have {len(solution.x)} and {len(solution.y)} entries;"
             f" the matrix is {pm.rows}x{pm.cols}"
         )
-    ints, scale = _on_grid(pm.centers())
+    ints, scale = _on_grid(_centers(pm))
     (x,), x_den = _on_grid((solution.x,))
     (y,), y_den = _on_grid((solution.y,))
     solution_center = Fraction(*solution.value.center.as_integer_ratio())

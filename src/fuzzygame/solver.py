@@ -23,13 +23,14 @@ dominance runs the row version on the columns of
 the centers on their least common denominator; a positive scale keeps
 every comparison the convex test and the certificate make.
 
-Mixed strategies, value centers and spreads, the expected payoff and the
-convex blends are exact rationals (``fractions.Fraction``), so results like
-15/16 are exact.  Each number is read through :func:`fuzzygame.fuzzy.ratio`,
-a float as its binary value; :func:`fuzzygame.fuzzy.on_denominator` puts the
-numbers of one integer grid on their least common denominator, and each
-returned ``Fraction`` is built once, from its integer numerator and
-denominator.
+Mixed strategies, value centers and spreads and the expected payoff are
+exact rationals (``fractions.Fraction``), so results like 15/16 are exact.
+A convex blend is exact too but is never built: the evidence of a convex
+deletion is read against its integer numerators.  Each number is read
+through :func:`fuzzygame.fuzzy.ratio`, a float as its binary value;
+:func:`fuzzygame.fuzzy.on_denominator` puts the numbers of one integer grid
+on their least common denominator, and each returned ``Fraction`` is built
+once, from its integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -333,21 +334,48 @@ def _covers(
     return evidence
 
 
-def _blends(
-    first: tuple[FuzzyNum, ...], second: tuple[FuzzyNum, ...], beta: float
-) -> tuple[FuzzyNum, ...]:
-    # Exact rational blend keeps the dominance comparisons deterministic.
-    # With beta = bn/bd and u, v numerators over one denominator den,
-    # beta*u + (1 - beta)*v is one integer numerator over bd*den, normalised once.
+def _blend_evidence(
+    first: Sequence[FuzzyNum], second: Sequence[FuzzyNum], beta: float,
+    line: Sequence[FuzzyNum], blend_above: bool,
+) -> tuple[float, ...]:
+    """Per entry, the dominance index of ``line`` against the blend ``beta*first + (1-beta)*second``.
+
+    The blend is the upper number if ``blend_above`` (convex rows), else the
+    lower one (columns).  Each blended center is an int ``num_c`` over
+    ``den_c``, each spread an int ``num_w`` over ``den_w``.  An int center c
+    with a float spread w, as JSON gives integer centers, is read on them:
+    for a row, ``(num_c - c*den_c) / den_c / (w + num_w/den_w)`` is the float
+    :func:`dominance_index` computes on the ``Fraction`` blend, since
+    ``Fraction - int`` is exact and a ``Fraction`` meets a float as its
+    correctly rounded ``num / den``.  Any other cell, a zero width, and an
+    index that is zero, not finite or past the float range go to
+    :func:`dominance_index` on the exact blend.
+    """
     bn, bd = ratio(beta)
     rest = bd - bn
     n = len(first)
     centers, cd = on_denominator([a.center for a in first] + [b.center for b in second])
     spreads, sd = on_denominator([a.spread for a in first] + [b.spread for b in second])
-    return tuple(
-        FuzzyNum(Fraction(bn * cu + rest * cv, bd * cd), Fraction(bn * su + rest * sv, bd * sd))
-        for cu, cv, su, sv in zip(centers, centers[n:], spreads, spreads[n:])
-    )
+    den_c, den_w = bd * cd, bd * sd
+    evidence = []
+    for cu, cv, su, sv, cell in zip(centers, centers[n:], spreads, spreads[n:], line):
+        num_c, num_w = bn * cu + rest * cv, bn * su + rest * sv
+        c, w = cell.center, cell.spread
+        if type(c) is int and type(w) is float:
+            try:
+                if blend_above:
+                    di = (num_c - c * den_c) / den_c / (w + num_w / den_w)
+                else:
+                    di = (c * den_c - num_c) / den_c / (num_w / den_w + w)
+            except (OverflowError, ZeroDivisionError):
+                di = 0.0
+            if di and di - di == 0.0:
+                evidence.append(di)
+                continue
+        blend_c, blend_w = Fraction(num_c, den_c), Fraction(num_w, den_w)
+        evidence.append(dominance_index(c, w, blend_c, blend_w) if blend_above
+                        else dominance_index(blend_c, blend_w, c, w))
+    return tuple(evidence)
 
 
 def _lines(pm: PayoffMatrix, axis: Axis, p: int, q: int, s: int) -> Iterable[tuple[int, int, int]]:
@@ -411,7 +439,11 @@ def convex_row_dominates(
     that is ``beta * (c_pj - c_qj) >= c_sj - c_qj``, so the coefficients that
     work form one exact interval, found on the integer grid
     :attr:`PayoffMatrix.scaled_centers`; the first grid point inside it is
-    the answer, and only its blend is built, for the evidence.  Every
+    the answer.  Only its blend gives evidence, the dominance index of row s
+    against it entry by entry, read on integer numerators by
+    :func:`_blend_evidence`: an int center with a float spread takes one
+    float quotient, every other entry the exact :func:`dominance_index` on
+    the ``Fraction`` blend, with the same bits either way.  Every
     coefficient must lie in [0, 1].
     """
     size = pm.rows
@@ -420,7 +452,7 @@ def convex_row_dominates(
     beta = _first_feasible(_lines(pm, Axis.ROW, p, q, s), betas)
     if beta is None:
         return None
-    return beta, _evidence(pm.row(s), _blends(pm.row(p), pm.row(q), beta))
+    return beta, _blend_evidence(pm.row(p), pm.row(q), beta, pm.row(s), True)
 
 
 def convex_col_dominates(
@@ -442,7 +474,7 @@ def convex_col_dominates(
     alpha = _first_feasible(_lines(pm, Axis.COL, p, q, s), alphas)
     if alpha is None:
         return None
-    return alpha, _evidence(_blends(pm.col(p), pm.col(q), alpha), pm.col(s))
+    return alpha, _blend_evidence(pm.col(p), pm.col(q), alpha, pm.col(s), False)
 
 
 def _saddle_solution(pm: PayoffMatrix, saddle: tuple[int, int, FuzzyNum]) -> Solution:

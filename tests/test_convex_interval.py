@@ -10,6 +10,7 @@ import pytest
 
 from fuzzygame import (
     CenterGame,
+    FuzzyNum,
     NotReducibleError,
     PayoffMatrix,
     PipelineConfig,
@@ -20,13 +21,22 @@ from fuzzygame import (
 from fuzzygame import solver
 from fuzzygame.matrix import Axis
 from fuzzygame.solver import (
-    _blends,
     _check_index,
     _evidence,
     convex_col_dominates,
     convex_row_dominates,
     reduce_dominance,
 )
+
+
+def reference_blends(first, second, beta):
+    """The blend ``beta*first + (1-beta)*second``, centers and spreads, in ``Fraction`` arithmetic."""
+    bf = Fraction(beta)
+    return tuple(
+        FuzzyNum(bf * Fraction(a.center) + (1 - bf) * Fraction(b.center),
+                 bf * Fraction(a.spread) + (1 - bf) * Fraction(b.spread))
+        for a, b in zip(first, second)
+    )
 
 
 def reference_convex_row(pm, p, q, s, betas):
@@ -37,7 +47,7 @@ def reference_convex_row(pm, p, q, s, betas):
     if not betas:
         raise ValueError("beta grid must not be empty")
     for beta in betas:
-        virtual = _blends(pm.row(p), pm.row(q), beta)
+        virtual = reference_blends(pm.row(p), pm.row(q), beta)
         if all(virtual[j].center >= pm.entry(s, j).center for j in range(pm.cols)):
             return beta, _evidence(pm.row(s), virtual)
     return None
@@ -51,7 +61,7 @@ def reference_convex_col(pm, p, q, s, alphas):
     if not alphas:
         raise ValueError("alpha grid must not be empty")
     for alpha in alphas:
-        virtual = _blends(pm.col(p), pm.col(q), alpha)
+        virtual = reference_blends(pm.col(p), pm.col(q), alpha)
         if all(virtual[i].center <= pm.entry(i, s).center for i in range(pm.rows)):
             return alpha, _evidence(virtual, pm.col(s))
     return None

@@ -1,18 +1,19 @@
 """The integer-grid kernels of the solver against ``Fraction`` references.
 
-The closed form of a 2x2 game, the expected payoff and the convex blends
-are computed from integer numerators and denominators, and each returned
-``Fraction`` is built once.  The references below are the same formulas
-written directly in ``Fraction`` arithmetic, as the solver had them before.
-Every result must have the same ``repr`` (so a ``Fraction`` never turns into
-an equal int or float), and every dominance index read on a blend the same
-bits.
+The closed form of a 2x2 game, the expected payoff and the evidence of a
+convex deletion are computed from integer numerators and denominators, and
+each returned ``Fraction`` is built once.  The references below are the same
+formulas written directly in ``Fraction`` arithmetic, as the solver had them
+before.  Every result must have the same ``repr`` (so a ``Fraction`` never
+turns into an equal int or float), and every dominance index read against a
+blend the same bits as on the ``Fraction`` blend.
 """
 
 import itertools
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fuzzygame import (
@@ -22,6 +23,8 @@ from fuzzygame import (
     SolutionKind,
     SpreadConvention,
     beta_grid,
+    convex_col_dominates,
+    convex_row_dominates,
     find_saddle,
     solve_2x2,
 )
@@ -205,17 +208,84 @@ def test_certificate_matches_fraction_reference(pm, p, q):
         assert solver._certified(pm, (0, 1), x, (0, 1), y, center) == (floor >= center >= ceiling)
 
 
-@SETTINGS
+# Cells as JSON gives them for integer centers (an int center, a float
+# spread), where the evidence of a blend is read on the integer grid, and
+# crisp cells, whose zero widths go to the exact index.
+json_cells = st.builds(
+    FuzzyNum,
+    st.one_of(st.integers(-10**6, 10**6), st.sampled_from((0, MAX_MAGNITUDE, -MAX_MAGNITUDE))),
+    st.one_of(st.floats(0, 1e3), st.sampled_from((0.0, -0.0, 5e-324, FLOAT_MAX))),
+)
+crisp_cells = st.builds(FuzzyNum, centers, st.sampled_from((0, 0.0)))
+line_cells = st.one_of(cells, json_cells, crisp_cells)
+blend_betas = st.one_of(
+    st.sampled_from(solver.DEFAULT_BETAS),
+    st.sampled_from((0, 1, 0.5, Fraction(1, 3), 5e-324)),
+    betas,
+)
+M = MAX_MAGNITUDE
+# Row 3 is covered by the even blend of rows 1 and 2, whose first center is
+# M against -M: the gap 2*M is past the float range, and its index is inf.
+OVERFLOW_GAME = PayoffMatrix.of([
+    [(M, 0.5), (M, 0.5), (-M, 0.5)],
+    [(M, 0.5), (-M, 0.5), (M, 0.5)],
+    [(-M, 0.5), (0, 0.5), (0, 0.5)],
+])
+
+
+@settings(SETTINGS, max_examples=500)
 @given(st.integers(1, 5).flatmap(
-    lambda n: st.tuples(*[st.lists(cells, min_size=n, max_size=n).map(tuple)] * 3)
-), betas)
-def test_blends_match_fraction_reference(lines, beta):
+    lambda n: st.tuples(*[st.lists(line_cells, min_size=n, max_size=n).map(tuple)] * 3)
+), blend_betas)
+@example(OVERFLOW_GAME.entries, 0.5)
+@example(tuple(zip(*OVERFLOW_GAME.entries)), 0.5)
+@example(((FuzzyNum(1, 0.0),), (FuzzyNum(3, 0.0),), (FuzzyNum(2, 0.0),)), 0.5)
+@example(((FuzzyNum(4, 0.5),), (FuzzyNum(0, 0.5),), (FuzzyNum(1, 0.25),)), 5e-324)
+@example(((FuzzyNum(2, 5e-324),), (FuzzyNum(0, 0),), (FuzzyNum(0.5, 0),)), 0.5)
+def test_blend_evidence_matches_fraction_reference(lines, beta):
+    # The evidence of a convex row deletion (the blend above the line) and
+    # of a column deletion (the line above the blend), by repr, against the
+    # index of each line entry and the Fraction blend.
     first, second, other = lines
-    got = solver._blends(first, second, beta)
     want = reference_blends(first, second, beta)
-    assert _reprs(*got) == _reprs(*want)
-    # The evidence both ways round, as convex row and column dominance read it.
-    for args_got, args_want in (((other, got), (other, want)), ((got, other), (want, other))):
-        assert [float.hex(e) for e in solver._evidence(*args_got)] == [
-            float.hex(e) for e in solver._evidence(*args_want)
-        ]
+    assert repr(solver._blend_evidence(first, second, beta, other, True)) == repr(
+        solver._evidence(other, want))
+    assert repr(solver._blend_evidence(first, second, beta, other, False)) == repr(
+        solver._evidence(want, other))
+
+
+def test_overflowing_blend_evidence_is_exact():
+    # 2*M / (0.5 + 0.5) overflows a float division; the exact index is past
+    # the float range, so it is inf, on rows and on the negated transpose's columns.
+    inf = float("inf")
+    assert convex_row_dominates(OVERFLOW_GAME, 0, 1, 2) == (0.5, (inf, 0.0, 0.0))
+    dual = PayoffMatrix.of([[(-e.center, e.spread) for e in col] for col in OVERFLOW_GAME.columns])
+    assert convex_col_dominates(dual, 0, 1, 2) == (0.5, (inf, 0.0, 0.0))
+
+
+def test_blend_spread_below_the_float_range():
+    # The even blend of A1 and A2 has spread 5e-324 / 2 in B1, a Fraction
+    # whose float is 0.0, against the float center and int spread of A3: the
+    # index there is exact, and past the float range.
+    pm = PayoffMatrix.of([[(2, 5e-324), (0, 0.1)], [(0, 0), (2, 0.1)], [(0.5, 0), (0.5, 0.1)]])
+    assert convex_row_dominates(pm, 0, 1, 2) == (0.5, (float("inf"), 2.5))
+
+
+# Blends at 1/2: rows A1, A2 give (2, 2, 5), strictly above A3; columns B1,
+# B2 give (2, 2, 1), strictly below B3.  No entry of a blend ties its line.
+UNTIED = ((4, 0, 5), (0, 4, 5), (1, 1, 3))
+
+
+@pytest.mark.parametrize("scale, calls", [(1, 0), (10, 3)], ids=["int", "tenths"])
+def test_int_centers_with_float_spreads_skip_the_exact_index(monkeypatch, scale, calls):
+    # An int center with a float spread is read on the integer grid; the
+    # same game in float tenths asks dominance_index once per entry.
+    pm = PayoffMatrix.of([[(c if scale == 1 else c / scale, 0.5) for c in row] for row in UNTIED])
+    counted = []
+    index = solver.dominance_index
+    monkeypatch.setattr(solver, "dominance_index", lambda *a: counted.append(a) or index(*a))
+    for dominates in (convex_row_dominates, convex_col_dominates):
+        counted.clear()
+        beta, evidence = dominates(pm, 0, 1, 2, (0.5,))
+        assert (beta, len(evidence), len(counted)) == (0.5, 3, calls)
+        assert all(evidence)

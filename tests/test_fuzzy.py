@@ -313,6 +313,14 @@ class TestDominanceIndex:
         # An exact quotient below the float range still rounds to 0.
         assert dominance_index(F(1), F(10) ** 400, F(2), 0) == 0.0
 
+    def test_float_gap_over_a_width_below_the_float_range(self):
+        # Half of 5e-324 is a positive Fraction whose float is 0.0; a float gap
+        # over it divides by zero in floats, and the exact index is past the range.
+        tiny = F(5e-324) / 2
+        assert dominance_index(0.5, 0, F(1), tiny) == math.inf
+        assert dominance_index(F(1), tiny, 0.5, 0) == -math.inf
+        assert dominance_index(0.5, 0, F(1, 2) + F(5e-324) ** 2, tiny) == float(F(5e-324) ** 2 / tiny)
+
 
 class TestPreferences:
     def test_smaller_center_wins(self):

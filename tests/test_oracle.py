@@ -119,6 +119,19 @@ class TestCenterGameCells:
         with pytest.raises(ValueError, match=message):
             CenterGame(((1, 2), (3, cell)))
 
+    @pytest.mark.parametrize("cell", [True, False, Decimal("0.5")])
+    def test_every_reader_refuses_a_payoff_center_that_is_not_a_number(self, cell):
+        # FuzzyNum accepts these centers.  center_value and oracle_check read
+        # True as 1 and Decimal("0.5") as 1/2, so they refuse the cell as
+        # CenterGame does, with the same message, before any value is read.
+        pm = PayoffMatrix.of([[(1, 0.1), (cell, 0.1)], [(0, 0.1), (1, 0.1)]])
+        sol = Solution((F(1, 2),) * 2, (F(1, 2),) * 2, FuzzyNum(F(1, 2), 0.1), SolutionKind.MIXED_2X2, ())
+        message = re.escape(f"center game cell {cell!r} is not an int, float or Fraction")
+        for read in (lambda: CenterGame.from_payoff(pm), lambda: center_value(pm),
+                     lambda: oracle_check(pm, sol)):
+            with pytest.raises(ValueError, match=message):
+                read()
+
 
 class TestOracleProperties:
     def test_role_swap_negates_value(self):
